@@ -22,7 +22,6 @@ work at a very low data frequency") appeals to.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .architecture import ArchitectureParameters
 from .constraint import chi_for_architecture, vth_exact
@@ -98,6 +97,10 @@ def bounded_optimum(
             arch, tech, frequency, vdd, vth_max, chi_value
         )
         return float(ptot)
+
+    # Imported on use: scipy.optimize is most of ``import repro``'s cost
+    # and only the scalar searches need it.
+    from scipy import optimize
 
     solution = optimize.minimize_scalar(
         objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-7}

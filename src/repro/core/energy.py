@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .architecture import ArchitectureParameters
 from .bounded import bounded_optimum
@@ -110,6 +109,10 @@ def minimum_energy_point(
     def objective(log_frequency: float) -> float:
         frequency = math.exp(log_frequency)
         return energy_point(arch, tech, frequency, vth_max=vth_max).energy_per_op
+
+    # Imported on use: scipy.optimize is most of ``import repro``'s cost
+    # and only the scalar searches need it.
+    from scipy import optimize
 
     solution = optimize.minimize_scalar(
         objective,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .architecture import ArchitectureParameters
 from .constraint import chi_for_architecture, vth_exact, vth_linearized
@@ -122,6 +121,10 @@ def numerical_optimum(
         _, _, _, ptot = constrained_total_power(arch, tech, frequency, vdd, chi_value)
         return float(ptot)
 
+    # Imported on use: scipy.optimize is most of ``import repro``'s cost
+    # and only the scalar searches need it.
+    from scipy import optimize
+
     solution = optimize.minimize_scalar(
         objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-7}
     )
@@ -183,6 +186,8 @@ def numerical_optimum_linearized(
             circuit_tech,
         )
         return float(ptot)
+
+    from scipy import optimize
 
     solution = optimize.minimize_scalar(
         objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-7}

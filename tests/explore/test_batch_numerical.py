@@ -118,6 +118,42 @@ class TestScalarParity:
         assert list(with_chi.reason) == list(without.reason)
 
 
+class TestWorkCount:
+    def test_objective_runs_as_often_as_scipy(self, boundary_grid, monkeypatch):
+        """Converged points leave the batch search, so it evaluates the
+        objective on exactly the slots the scalar searches evaluate (the
+        sum of scipy's ``nfev``), not the slowest point's count times
+        the number of points."""
+        from scipy import optimize
+
+        from repro.solvers import batch_numerical
+
+        scipy_evaluations = 0
+        minimize_scalar = optimize.minimize_scalar
+
+        def recording_minimize_scalar(*args, **kwargs):
+            nonlocal scipy_evaluations
+            solution = minimize_scalar(*args, **kwargs)
+            scipy_evaluations += solution.nfev
+            return solution
+
+        monkeypatch.setattr(optimize, "minimize_scalar", recording_minimize_scalar)
+        for point in boundary_grid:
+            _reference(point)
+
+        batch_evaluations = 0
+        objective = batch_numerical._objective
+
+        def counting_objective(task, vdd):
+            nonlocal batch_evaluations
+            batch_evaluations += vdd.size
+            return objective(task, vdd)
+
+        monkeypatch.setattr(batch_numerical, "_objective", counting_objective)
+        solve_points(boundary_grid)
+        assert batch_evaluations == scipy_evaluations
+
+
 class TestTaskPlumbing:
     def test_empty_task(self):
         solution = solve_points([])

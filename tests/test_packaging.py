@@ -3,14 +3,19 @@
 The entry point declared in pyproject.toml is what ``pip install``
 turns into the ``repro`` command; this test keeps the declaration and
 the target callable from drifting apart without requiring the package
-to be installed.
+to be installed.  The package must also import without scipy, which
+only the scalar searches load.
 """
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 def _console_scripts() -> dict[str, str]:
@@ -65,3 +70,17 @@ def test_package_discovery_covers_src_layout():
     text = PYPROJECT.read_text(encoding="utf-8")
     assert '[tool.setuptools.packages.find]' in text
     assert 'where = ["src"]' in text
+
+
+def test_import_leaves_scipy_unloaded():
+    """``scipy.optimize`` is most of the import time, so the package,
+    its CLI, service and jobs modules import it only on use."""
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.jobs.manager, repro.service.server\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)

@@ -7,7 +7,7 @@
 * the demo architecture summaries the explore scenarios use
   (``architecture``);
 * the Section 4 moves (``transform``);
-* the six solve paths (``solver``);
+* the seven solve paths (``solver``);
 * the thirteen Table 1 multiplier factories (``generator``).
 
 It runs lazily — wired as a loader on the default catalog, triggered by
@@ -141,18 +141,6 @@ def _register_solvers(catalog: Catalog) -> None:
             summary=getattr(solver, "summary", ""),
             source=_SOURCE_SOLVERS,
         )
-
-    # The learned surrogate lives in its own subsystem; importing it here
-    # (not in repro.solvers) keeps the solvers ⇄ catalog graph acyclic.
-    from ..surrogate.solver import SURROGATE_SOLVER
-
-    _register(
-        namespace,
-        SURROGATE_SOLVER.name,
-        SURROGATE_SOLVER,
-        summary=SURROGATE_SOLVER.summary,
-        source="repro.surrogate",
-    )
 
 
 def _register_generators(catalog: Catalog) -> None:

@@ -9,7 +9,6 @@ Commands
                     result / cancel / list
 ``top``             live ops view of a running service (metrics + traces)
 ``cache``           inspect / clear / prune the on-disk result cache
-``surrogate``       train / eval / inspect the learned surrogate bundle
 ``table``           regenerate a paper table (1-4; 1 also in native mode)
 ``figure``          regenerate a paper figure (1, 2 or 34)
 ``verify``          functionally verify generated multipliers
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__, obs
 from .core.architecture import ArchitectureParameters
@@ -35,8 +33,6 @@ from .core.optimum import approximation_error_percent
 from .core.technology import flavour
 from .solvers import available_solvers
 from .study import Study
-from .surrogate.model import BACKENDS
-from .surrogate.train import DEFAULT_POWER_TOLERANCE
 
 
 def _resolve_flavour(label: str):
@@ -682,112 +678,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _surrogate_spec(args):
-    from .surrogate import DatasetSpec
-
-    return DatasetSpec(
-        seed=args.seed,
-        architectures=args.architectures,
-        technologies=args.technologies,
-        frequencies=args.frequency_points,
-    )
-
-
-def _cmd_surrogate(args) -> int:
-    import json as json_module
-
-    from .solvers.base import SolverError
-    from .surrogate import (
-        SurrogateBundle,
-        default_bundle_path,
-        evaluate_bundle,
-        train_bundle,
-    )
-
-    if args.surrogate_action == "train":
-        spec = _surrogate_spec(args)
-        if args.power_tolerance <= 0.0:
-            print("--power-tolerance must be > 0", file=sys.stderr)
-            return 2
-        try:
-            trained = train_bundle(
-                spec,
-                degree=args.degree,
-                ridge_lambda=args.ridge_lambda,
-                backend=args.backend,
-                power_tolerance=args.power_tolerance,
-                use_dataset_cache=not args.no_dataset_cache,
-            )
-        except (RuntimeError, ValueError) as error:
-            print(f"training failed: {error}", file=sys.stderr)
-            return 2
-        out = Path(args.out) if args.out else default_bundle_path()
-        try:
-            trained.bundle.save(out)
-        except OSError as error:
-            print(f"cannot write bundle: {error}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json_module.dumps(trained.bundle.card, indent=2,
-                                    sort_keys=True))
-        else:
-            source = "cache" if trained.dataset_from_cache else "fresh build"
-            print(f"dataset: {source} ({trained.dataset.key[:12]}…)")
-            print(trained.bundle.describe())
-        print(f"wrote bundle to {out}")
-        return 0
-
-    path = Path(args.bundle) if args.bundle else default_bundle_path()
-    try:
-        bundle = SurrogateBundle.load(path)
-    except FileNotFoundError:
-        print(
-            f"no bundle at {path}; train one first with "
-            f"'repro surrogate train'",
-            file=sys.stderr,
-        )
-        return 2
-    except (OSError, KeyError, ValueError, SolverError) as error:
-        print(f"cannot load bundle {path}: {error}", file=sys.stderr)
-        return 2
-
-    if args.surrogate_action == "info":
-        if args.json:
-            print(json_module.dumps(bundle.card, indent=2, sort_keys=True))
-        else:
-            print(bundle.describe())
-        return 0
-
-    # eval: score on a held-out dataset (default: training seed + 1).
-    spec = None
-    if args.seed is not None:
-        from .surrogate import DatasetSpec
-
-        trained_spec = DatasetSpec.from_dict(bundle.card["dataset"]["spec"])
-        spec = DatasetSpec.from_dict(
-            {**trained_spec.to_dict(), "seed": args.seed}
-        )
-    report = evaluate_bundle(bundle, spec)
-    if args.json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
-    else:
-        errors = report["errors_trusted"]
-        print(
-            f"evaluated {report['points']} points "
-            f"(seed {report['dataset']['spec']['seed']}): "
-            f"{report['trusted']} trusted, {report['flagged']} flagged "
-            f"(trusted fraction {report['trusted_fraction']:.3f})"
-        )
-        print("relative error on trusted points:")
-        for output in ("vdd", "vth", "ptot"):
-            q = errors[output]
-            print(
-                f"  {output:>6s}: q50={q['q50']:.2e} q90={q['q90']:.2e} "
-                f"q99={q['q99']:.2e} max={q['max']:.2e}"
-            )
-    return 0
-
-
 def _add_profile_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--profile", action="store_true",
@@ -1154,102 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune: how many newest entries to keep",
     )
     cache.set_defaults(handler=_cmd_cache)
-
-    surrogate_cmd = commands.add_parser(
-        "surrogate",
-        help="train / eval / inspect the learned (Vdd*, Vth*, P*) surrogate",
-    )
-    surrogate_sub = surrogate_cmd.add_subparsers(
-        dest="surrogate_action", required=True
-    )
-
-    surrogate_train = surrogate_sub.add_parser(
-        "train",
-        help="build the training dataset (exact solver), fit, calibrate "
-             "the uncertainty gate and persist the bundle",
-    )
-    surrogate_train.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="bundle output path (default: $REPRO_SURROGATE_BUNDLE or "
-             "~/.cache/repro/surrogate/default.npz)",
-    )
-    surrogate_train.add_argument(
-        "--seed", type=int, default=0,
-        help="dataset rng seed — fixes sampling and the train/val split, "
-             "so retraining is bit-reproducible (default 0)",
-    )
-    surrogate_train.add_argument(
-        "--architectures", type=int, default=24,
-        help="sampled architecture variants (default 24)",
-    )
-    surrogate_train.add_argument(
-        "--technologies", type=int, default=12,
-        help="sampled technology flavours (default 12)",
-    )
-    surrogate_train.add_argument(
-        "--frequency-points", type=int, default=28, dest="frequency_points",
-        help="log-spaced frequency grid size (default 28)",
-    )
-    surrogate_train.add_argument(
-        "--degree", type=int, default=6,
-        help="polynomial total degree (default 6)",
-    )
-    surrogate_train.add_argument(
-        "--ridge-lambda", type=float, default=1e-9, dest="ridge_lambda",
-        help="per-sample ridge penalty (default 1e-9)",
-    )
-    surrogate_train.add_argument(
-        "--backend", default="numpy", choices=list(BACKENDS),
-        help="fitter backend; sklearn needs scikit-learn installed and "
-             "produces an identical bundle (default numpy)",
-    )
-    surrogate_train.add_argument(
-        "--power-tolerance", type=float, dest="power_tolerance",
-        default=DEFAULT_POWER_TOLERANCE,
-        help="max relative power error the calibrated gate may admit on "
-             f"held-out points (default {DEFAULT_POWER_TOLERANCE})",
-    )
-    surrogate_train.add_argument(
-        "--no-dataset-cache", action="store_true", dest="no_dataset_cache",
-        help="rebuild the training dataset even when cached",
-    )
-    surrogate_train.add_argument(
-        "--json", action="store_true",
-        help="print the model card as JSON instead of the summary",
-    )
-    surrogate_train.set_defaults(handler=_cmd_surrogate)
-
-    surrogate_eval = surrogate_sub.add_parser(
-        "eval",
-        help="score a bundle on a fresh held-out dataset",
-    )
-    surrogate_eval.add_argument(
-        "--bundle", default=None, metavar="PATH",
-        help="bundle to score (default: the default bundle path)",
-    )
-    surrogate_eval.add_argument(
-        "--seed", type=int, default=None,
-        help="evaluation dataset seed (default: training seed + 1)",
-    )
-    surrogate_eval.add_argument(
-        "--json", action="store_true",
-        help="print the evaluation report as JSON",
-    )
-    surrogate_eval.set_defaults(handler=_cmd_surrogate)
-
-    surrogate_info = surrogate_sub.add_parser(
-        "info",
-        help="render a persisted bundle's model card",
-    )
-    surrogate_info.add_argument(
-        "--bundle", default=None, metavar="PATH",
-        help="bundle to describe (default: the default bundle path)",
-    )
-    surrogate_info.add_argument(
-        "--json", action="store_true",
-        help="print the raw model card JSON",
-    )
-    surrogate_info.set_defaults(handler=_cmd_surrogate)
 
     return parser
 

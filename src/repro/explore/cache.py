@@ -24,10 +24,8 @@ from ..resilience import faults
 #: silently serving stale numbers.  The engine additionally folds the
 #: package version and the kernel's fallback constants into the key.
 #: v2: columnar payload ("columns": one list per PointResult field)
-#: replaces the row-wise "points"/"records" lists.  Readers accept both
-#: layouts (ResultTable.from_cache_payload), so v1 entries still *load*;
-#: the bump (plus the version folded into the key) means engine lookups
-#: deliberately miss them after an upgrade instead of trusting them.
+#: replaces the row-wise "points"/"records" lists; v1 entries hash to
+#: other keys, so they are never looked up.
 CACHE_SCHEMA_VERSION = 2
 
 #: Environment override for the default cache location.

@@ -315,20 +315,13 @@ class ResultTable:
 
     @classmethod
     def from_cache_payload(cls, payload: Mapping[str, Any]) -> "ResultTable":
-        """Rebuild a table from a cache entry, old row-wise schema included.
+        """Rebuild a table from a cache entry or a job result payload.
 
-        New entries store ``"columns"`` (one list per field); entries
-        written before the columnar pipeline store ``"points"`` (engine)
-        or ``"records"`` (Study registry path) as lists of row dicts.
-        Both shapes load to identical tables.
+        Both store ``"columns"`` (one list per field); a payload without
+        them raises :class:`KeyError`, which the cache readers treat as
+        a corrupt entry.
         """
-        if "columns" in payload:
-            return cls.from_payload_columns(payload["columns"])
-        rows = payload.get("points")
-        if rows is None:
-            rows = payload.get("records", [])
-        record = _record_cls()
-        return cls.from_records([record.from_dict(row) for row in rows])
+        return cls.from_payload_columns(payload["columns"])
 
     def save_npz(self, path) -> "Path":
         """Write the table to one compressed ``.npz``, column per entry.

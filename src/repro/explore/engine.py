@@ -21,8 +21,10 @@ A parity check compares sampled vectorized results against the scalar
 closed form on every run, so a drift between the two implementations
 cannot pass silently.  :func:`explore` wraps the core with the scenario
 spec and the on-disk result cache: hash the sweep definition, return
-the stored result on a hit (old row-wise entries load transparently),
-evaluate and store the compact columnar payload on a miss.
+the stored result on a hit, evaluate and store the compact columnar
+payload on a miss.  :func:`read_cached` and :func:`write_cached` are
+the cache's failure handling for every solve path: an undecodable entry
+is quarantined and recomputed, a failed write is counted, not raised.
 """
 
 from __future__ import annotations
@@ -777,6 +779,61 @@ def _cache_key(scenario: Scenario, method: str) -> str:
     return content_hash({**cache_key_payload(scenario), "method": method})
 
 
+def flight_key(
+    scenario: Scenario, solver: str, options: Mapping[str, Any]
+) -> str:
+    """The key of one (scenario, solver, options) request.
+
+    :class:`~repro.study.Study` caches registry-path runs under it, and
+    the service and the job manager single-flight under it, so identical
+    sweeps submitted as a job and posted to ``/v1/explore`` concurrently
+    join one coalescer flight and cost one engine run.
+    """
+    return content_hash(
+        {
+            **cache_key_payload(scenario),
+            "solver": solver,
+            "options": dict(options),
+        }
+    )
+
+
+def read_cached(
+    cache: TieredCache, key: str
+) -> tuple[ResultTable, EvaluationStats, bool] | None:
+    """``(table, stats, parity_checked)`` stored under ``key``, or None.
+
+    An entry that parses as JSON but does not decode to a table and its
+    stats is quarantined and reads as a miss, the same contract as a
+    torn file: the caller recomputes instead of failing on it.
+    """
+    stored = cache.get(key)
+    if stored is None:
+        return None
+    try:
+        table = ResultTable.from_cache_payload(stored)
+        stats = EvaluationStats.from_dict(stored["stats"])
+    except (KeyError, ValueError, TypeError):
+        cache.quarantine(key)
+        return None
+    return table, stats, bool(stored.get("parity_checked", False))
+
+
+def write_cached(
+    cache: TieredCache, key: str, payload: dict[str, Any]
+) -> Path | None:
+    """Store ``payload`` under ``key``; its path, or None if the write failed.
+
+    A failed write must not fail the run: the result is already computed
+    and correct, so the failure is counted in ``cache.disk.write_errors``.
+    """
+    try:
+        return cache.put(key, payload)
+    except (OSError, faults.FaultError):
+        obs.inc("cache.disk.write_errors")
+        return None
+
+
 def explore(
     scenario: Scenario,
     method: str = "auto",
@@ -815,36 +872,21 @@ def explore(
 
         if use_cache:
             with timer.phase("cache_read"):
-                stored = cache.get(key)
-            if stored is not None:
-                try:
-                    table = ResultTable.from_cache_payload(stored)
-                    stats = EvaluationStats.from_dict(stored["stats"])
-                except (KeyError, ValueError, TypeError):
-                    # The entry parsed as JSON but is not a result we
-                    # can trust: quarantine it and recompute, the same
-                    # contract as a torn file.
-                    quarantine = getattr(cache, "quarantine", None)
-                    if quarantine is not None:
-                        quarantine(key)
-                    stored = None
-                else:
-                    obs.inc(
-                        "engine.runs", method=method, outcome="cache_hit"
-                    )
-                    return ExplorationResult(
-                        scenario=scenario,
-                        method=method,
-                        points=table.rows(),
-                        stats=stats,
-                        cache_hit=True,
-                        cache_key=key,
-                        cache_path=cache.path_for(key),
-                        parity_checked=bool(
-                            stored.get("parity_checked", False)
-                        ),
-                        table=table,
-                    )
+                cached = read_cached(cache, key)
+            if cached is not None:
+                table, stats, parity_checked = cached
+                obs.inc("engine.runs", method=method, outcome="cache_hit")
+                return ExplorationResult(
+                    scenario=scenario,
+                    method=method,
+                    points=table.rows(),
+                    stats=stats,
+                    cache_hit=True,
+                    cache_key=key,
+                    cache_path=cache.path_for(key),
+                    parity_checked=parity_checked,
+                    table=table,
+                )
 
         started = time.perf_counter()
         table = evaluate_table(
@@ -860,24 +902,19 @@ def explore(
         cache_path = None
         if use_cache:
             with timer.phase("cache_write"):
-                try:
-                    cache_path = cache.put(
-                        key,
-                        {
-                            "schema": CACHE_SCHEMA_VERSION,
-                            "method": method,
-                            "scenario": scenario.to_dict(),
-                            "stats": stats.to_dict(),
-                            "parity_checked": parity_check
-                            and method != "numerical",
-                            "columns": table.to_payload_columns(),
-                        },
-                    )
-                except (OSError, faults.FaultError):
-                    # A failed cache write must not fail the sweep: the
-                    # result is already computed and correct.
-                    obs.inc("cache.disk.write_errors")
-                    cache_path = None
+                cache_path = write_cached(
+                    cache,
+                    key,
+                    {
+                        "schema": CACHE_SCHEMA_VERSION,
+                        "method": method,
+                        "scenario": scenario.to_dict(),
+                        "stats": stats.to_dict(),
+                        "parity_checked": parity_check
+                        and method != "numerical",
+                        "columns": table.to_payload_columns(),
+                    },
+                )
         # The returned stats carry the complete phase map (including
         # cache_write, which the stored payload necessarily cannot).
         stats = replace(stats, phases=dict(timer.phases))

@@ -29,20 +29,22 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from .. import obs
 from ..resilience import Deadline, DeadlineExceeded, faults
-from ..explore.cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
+from ..explore.cache import CACHE_SCHEMA_VERSION, ResultCache
 from ..explore.columnar import ResultTable
 from ..explore.engine import (
     EvaluationStats,
     ExplorationResult,
-    cache_key_payload,
+    _cache_key,
     explore,
+    flight_key,
+    write_cached,
 )
 from ..explore.scenario import Scenario
 from ..service.coalesce import Coalescer
@@ -84,25 +86,6 @@ class JobStateError(JobError):
 
 class JobTimeout(JobError):
     """``wait()`` gave up before the job reached a terminal state."""
-
-
-def flight_key(
-    scenario: Scenario, solver: str, options: Mapping[str, Any]
-) -> str:
-    """The single-flight key a (scenario, solve policy) request shares.
-
-    Exactly the key :meth:`repro.service.server.ServiceState.run_scenario`
-    computes for inline requests — identical sweeps submitted as a job
-    and posted to ``/v1/explore`` concurrently therefore join one
-    coalescer flight and cost one engine run.
-    """
-    return content_hash(
-        {
-            **cache_key_payload(scenario),
-            "solver": solver,
-            "options": dict(options),
-        }
-    )
 
 
 def _default_pool_size() -> int:
@@ -677,9 +660,7 @@ class JobManager:
                 [exploration.stats for _, exploration in pairs],
                 elapsed_seconds=time.perf_counter() - started,
             )
-        engine_key = content_hash(
-            {**cache_key_payload(scenario), "method": method}
-        )
+        engine_key = _cache_key(scenario, method)
         parity = all(exploration.parity_checked for _, exploration in pairs)
         if partial:
             obs.inc("jobs.partial_results")
@@ -695,20 +676,18 @@ class JobManager:
             # Under the inline explore() key, so a later inline request
             # for the full scenario is a cache hit, not a re-run.  A
             # partial table must never be cached under the full key.
-            try:
-                self.cache.put(
-                    engine_key,
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "method": method,
-                        "scenario": scenario.to_dict(),
-                        "stats": stats.to_dict(),
-                        "parity_checked": parity,
-                        "columns": table.to_payload_columns(),
-                    },
-                )
-            except (OSError, faults.FaultError):
-                obs.inc("cache.disk.write_errors")
+            write_cached(
+                self.cache,
+                engine_key,
+                {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "method": method,
+                    "scenario": scenario.to_dict(),
+                    "stats": stats.to_dict(),
+                    "parity_checked": parity,
+                    "columns": table.to_payload_columns(),
+                },
+            )
         return ResultSet(
             records=table.rows(),
             solver=solver.name,
@@ -749,11 +728,8 @@ class JobManager:
             payload["scenario"] = result.scenario.to_dict()
         if result.stats is not None:
             payload["stats"] = result.stats.to_dict()
-        table = result._table
-        if table is not None:
-            payload["columns"] = table.to_payload_columns()
-        else:  # pragma: no cover — every local producer is table-backed
-            payload["records"] = result.to_dicts()
+        # Every producer here returns a table-backed ResultSet.
+        payload["columns"] = result._table.to_payload_columns()
         return payload
 
     # -- queries -------------------------------------------------------------

@@ -84,9 +84,8 @@ from ..resilience import (
     install_faults,
     uninstall_faults,
 )
-from ..explore.cache import content_hash
 from ..explore.columnar import ResultRows
-from ..explore.engine import cache_key_payload
+from ..explore.engine import flight_key
 from ..explore.scenario import FrequencyGrid, Scenario
 from ..jobs import (
     JobCancelled,
@@ -369,13 +368,7 @@ class ServiceState:
         options: dict[str, Any],
     ) -> tuple[ResultSet, bool]:
         """One bounded, coalesced, cached evaluation → (result, coalesced)."""
-        key = content_hash(
-            {
-                **cache_key_payload(scenario),
-                "solver": solver,
-                "options": options,
-            }
-        )
+        key = flight_key(scenario, solver, options)
 
         def produce() -> ResultSet:
             with self.admission.admit(cost=scenario.size):

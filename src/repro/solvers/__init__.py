@@ -1,15 +1,16 @@
 """Unified solver registry (the dispatch layer under :class:`repro.study.Study`).
 
-One protocol, one registry, six built-in entries:
+One protocol, one registry, seven built-in entries:
 
-=============== =============================================================
-``closed_form`` scalar Section 3 chain (Eqs. 9/10/8), one point at a time
-``linearized``  numerical optimum on the linearised constraint (ablation A4)
-``numerical``   exact numerical reference, parallel over a process pool
-``vectorized``  numpy Eq. 9–13 batch kernel, no scipy calls
-``bounded``     exact optimum under practical Vth/Vdd caps
-``auto``        vectorized kernel with exact-numerical fallback at the edges
-=============== =============================================================
+==================== ========================================================
+``closed_form``      scalar Section 3 chain (Eqs. 9/10/8), one point at a time
+``linearized``       numerical optimum on the linearised constraint (A4)
+``numerical``        exact numerical reference, parallel over a process pool
+``numerical_scalar`` exact numerical reference, serial in-process loop
+``vectorized``       numpy Eq. 9–13 batch kernel, no scipy calls
+``bounded``          exact optimum under practical Vth/Vdd caps
+``auto``             vectorized kernel with exact-numerical fallback
+==================== ========================================================
 
 All of them honour the same contract (see :mod:`repro.solvers.base`):
 ``solve(points, jobs=None, **options)`` returns one

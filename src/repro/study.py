@@ -51,10 +51,16 @@ from .explore.analysis import (
     rank_points,
     report,
 )
-from .explore.cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
+from .explore.cache import CACHE_SCHEMA_VERSION, ResultCache
 from .explore.columnar import ResultRows, ResultTable
 from .service.memcache import TieredCache, as_cache
-from .explore.engine import EvaluationStats, PointResult, cache_key_payload
+from .explore.engine import (
+    EvaluationStats,
+    PointResult,
+    flight_key,
+    read_cached,
+    write_cached,
+)
 from .explore.engine import explore as explore_scenario
 from .explore.scenario import FrequencyGrid, Scenario, TransformStep
 from .solvers import EngineSolver, Solver, get_solver
@@ -435,17 +441,6 @@ class Study:
         solver = self._solver
         return solver if isinstance(solver, str) else solver.name
 
-    def _cache_key(self, scenario: Scenario) -> str:
-        # The engine's shared payload plus this study's solve path, so
-        # every invalidation input lives in one place (engine.py).
-        return content_hash(
-            {
-                **cache_key_payload(scenario),
-                "solver": self.solver_name,
-                "options": self._solver_options,
-            }
-        )
-
     def submit(
         self, shards: int | None = None, manager: Any = None
     ) -> "Any":
@@ -520,17 +515,15 @@ class Study:
         key = ""
         if self._use_cache:
             cache = as_cache(self._cache)
-            key = self._cache_key(scenario)
-            stored = cache.get(key)
-            if stored is not None:
-                # Old entries store a row-wise "records" list, new ones
-                # the compact columnar payload; both load identically.
-                table = ResultTable.from_cache_payload(stored)
+            key = flight_key(scenario, self.solver_name, self._solver_options)
+            cached = read_cached(cache, key)
+            if cached is not None:
+                table, stats, _ = cached
                 return ResultSet(
                     records=table.rows(),
                     solver=solver.name,
                     scenario=scenario,
-                    stats=EvaluationStats.from_dict(stored["stats"]),
+                    stats=stats,
                     cache_hit=True,
                     cache_key=key,
                     cache_path=cache.path_for(key),
@@ -554,7 +547,8 @@ class Study:
         cache_path = None
         if cache is not None:
             with timer.phase("cache_write"):
-                cache_path = cache.put(
+                cache_path = write_cached(
+                    cache,
                     key,
                     {
                         "schema": CACHE_SCHEMA_VERSION,

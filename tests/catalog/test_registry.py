@@ -90,13 +90,13 @@ class TestNamespace:
         with pytest.raises(KeyError):
             catalog.get("solver", "nope")
 
-    def test_builtin_solver_typo_suggests_surrogate(self):
+    def test_builtin_solver_typo_suggests_bounded(self):
         catalog = Catalog()
         register_builtins(catalog)
         with pytest.raises(CatalogKeyError) as excinfo:
-            catalog.get("solver", "surogate")
+            catalog.get("solver", "bouned")
         assert "did you mean" in str(excinfo.value)
-        assert "surrogate" in excinfo.value.suggestions
+        assert excinfo.value.suggestions == ("bounded",)
 
     def test_unknown_namespace_rejected(self, catalog):
         with pytest.raises(ValueError, match="unknown namespace"):
@@ -184,7 +184,10 @@ class TestBuiltins:
         register_builtins(catalog)
         assert len(catalog.technologies) == 3
         assert len(catalog.architectures) >= 2
-        assert len(catalog.solvers) == 8
+        assert {entry.key for entry in catalog.solvers.entries()} == {
+            "auto", "bounded", "closed_form", "linearized", "numerical",
+            "numerical_scalar", "vectorized",
+        }
         assert len(catalog.transforms) == 3
         assert len(catalog.generators) == 13
 
@@ -211,7 +214,7 @@ class TestBuiltins:
         register_builtins(catalog)
         assert catalog.get("technology", "ll") is mine
         assert catalog.get("technology", "st-cmos09-ll").alpha == 1.86
-        assert len(catalog.solvers) == 8 and len(catalog.generators) == 13
+        assert len(catalog.solvers) == 7 and len(catalog.generators) == 13
 
     def test_default_catalog_lazy_loads_builtins(self):
         catalog = default_catalog()

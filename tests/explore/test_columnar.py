@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.explore.cache import ResultCache
+from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.explore.columnar import ResultTable, expand_columns
 from repro.explore.engine import (
     EvaluationStats,
@@ -80,12 +80,6 @@ class TestResultTable:
             json.loads(json.dumps(payload))
         )
         assert rebuilt.rows() == mixed_table.rows()
-
-    def test_legacy_row_payloads_load(self, mixed_table):
-        rows = mixed_table.to_dicts()
-        for key in ("points", "records"):
-            rebuilt = ResultTable.from_cache_payload({key: rows})
-            assert rebuilt.rows() == mixed_table.rows()
 
     def test_from_records_round_trip(self, mixed_table):
         records = list(mixed_table.rows())
@@ -251,33 +245,32 @@ class TestColumnarEdgeCases:
             assert "timing" in row.reason or "threshold" in row.reason
 
 
-class TestLegacyCacheEntries:
-    def test_old_row_wise_engine_entry_is_served_identically(
+class TestColumnlessCacheEntries:
+    def test_entry_without_columns_is_quarantined_and_recomputed(
         self, mixed_scenario, tmp_path
     ):
-        """An entry written by the pre-columnar engine still loads."""
+        """A column-less entry under the current key is not a 0-row hit."""
         from repro.explore.engine import _cache_key
         from repro.service.memcache import default_memory_cache
 
         fresh = explore(mixed_scenario, cache=tmp_path, use_cache=False)
-        legacy_payload = {
-            "schema": 1,
-            "method": "auto",
-            "scenario": mixed_scenario.to_dict(),
-            "stats": fresh.stats.to_dict(),
-            "parity_checked": True,
-            "points": [row.to_dict() for row in fresh.points],
-        }
         key = _cache_key(mixed_scenario, "auto")
-        ResultCache(tmp_path).put(key, legacy_payload)
+        ResultCache(tmp_path).put(
+            key,
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "method": "auto",
+                "scenario": mixed_scenario.to_dict(),
+                "stats": fresh.stats.to_dict(),
+                "parity_checked": True,
+            },
+        )
         default_memory_cache().clear()
 
         served = explore(mixed_scenario, cache=tmp_path)
-        assert served.cache_hit
+        assert not served.cache_hit
         assert served.points == fresh.points
-        assert served.parity_checked
-        assert json.dumps(
-            [row.to_dict() for row in served.points], sort_keys=True
-        ) == json.dumps(
-            [row.to_dict() for row in fresh.points], sort_keys=True
-        )
+        assert [path.name for path in tmp_path.glob("*.quarantined")] == [
+            f"{key}.quarantined"
+        ]
+        assert explore(mixed_scenario, cache=tmp_path).cache_hit

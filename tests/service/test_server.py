@@ -183,19 +183,21 @@ class TestErrorMapping:
 
     def test_unknown_solver_is_400(self, service):
         _, client = service
-        with pytest.raises(ServiceError) as excinfo:
-            client.explore(demo_scenario(frequency_points=2), solver="nope")
-        assert excinfo.value.status == 400
-        assert excinfo.value.kind == "unknown-solver"
+        for solver in ("nope", "surrogate"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.explore(demo_scenario(frequency_points=2), solver=solver)
+            assert excinfo.value.status == 400
+            assert excinfo.value.kind == "unknown-solver"
+            assert "auto" in str(excinfo.value)
 
-    def test_unknown_solver_suggests_surrogate_on_optimize(self, service):
+    def test_unknown_solver_suggests_bounded_on_optimize(self, service):
         _, client = service
         with pytest.raises(ServiceError) as excinfo:
-            client.optimize(ARCH, "LL", 31.25e6, solver="surogate")
+            client.optimize(ARCH, "LL", 31.25e6, solver="bouned")
         assert excinfo.value.status == 400
         assert excinfo.value.kind == "unknown-solver"
         assert "did you mean" in str(excinfo.value)
-        assert "surrogate" in str(excinfo.value)
+        assert "bounded" in str(excinfo.value)
 
     def test_bad_jobs_is_400(self, service):
         _, client = service

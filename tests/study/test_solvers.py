@@ -52,8 +52,9 @@ class TestRegistry:
         assert get_solver("closed-form") is get_solver("closed_form")
 
     def test_unknown_name_lists_known_solvers(self):
-        with pytest.raises(SolverError, match="known:.*numerical"):
-            get_solver("frobnicate")
+        for name in ("frobnicate", "surrogate"):
+            with pytest.raises(SolverError, match="known:.*auto.*numerical"):
+                get_solver(name)
 
     def test_solver_instances_pass_through(self):
         solver = get_solver("auto")

@@ -20,9 +20,13 @@ from repro import (
     Study,
     numerical_optimum,
 )
+from repro import obs
 from repro.explore.analysis import pareto_frontier
+from repro.explore.cache import ResultCache
 from repro.explore.engine import explore
 from repro.explore.scenario import demo_scenario, pipeline_step
+from repro.resilience import injected_faults
+from repro.service.memcache import MemoryCache, TieredCache
 
 
 @pytest.fixture
@@ -280,3 +284,44 @@ class TestCaching:
         resultset = small_study.cached(tmp_path, enabled=False).run()
         assert resultset.cache_path is None
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("solver", ["closed_form", "bounded", "linearized"])
+    def test_registry_solvers_survive_bad_entries_and_failed_writes(
+        self, tmp_path, small_study, solver
+    ):
+        """Registry solvers share the engine's cache failure handling."""
+
+        def tier(directory):
+            # A private memory tier, so every run reads the disk entry.
+            return TieredCache(ResultCache(directory), MemoryCache(8))
+
+        study = small_study.solver(solver)
+        fresh = study.cached(tier(tmp_path)).run()
+        # JSON-valid but without its stats: quarantined and recomputed.
+        entry = fresh.cache_path
+        payload = json.loads(entry.read_text())
+        del payload["stats"]
+        entry.write_text(json.dumps(payload))
+        recovered = study.cached(tier(tmp_path)).run()
+        assert not recovered.cache_hit
+        assert recovered.records == fresh.records
+        assert list(tmp_path.glob("*.quarantined")) == [
+            entry.with_suffix(".quarantined")
+        ]
+        assert study.cached(tier(tmp_path)).run().cache_hit
+
+        # A failed cache write is counted, not raised.
+        previous = obs.get_registry()
+        obs.enable(obs.MetricsRegistry())
+        try:
+            with injected_faults("seed=1; cache.write:always"):
+                survived = study.cached(tier(tmp_path / "faulty")).run()
+            write_errors = obs.counter_total("cache.disk.write_errors")
+        finally:
+            if previous is not None:
+                obs.enable(previous)
+            else:
+                obs.disable()
+        assert survived.records == fresh.records
+        assert survived.cache_path is None
+        assert write_errors == 1

@@ -3,8 +3,10 @@
 A sweep is keyed by the SHA-256 of its canonical-JSON payload (scenario
 definition + evaluation method + cache schema version), so re-running
 the same scenario is a single file read and *any* change to the sweep —
-one frequency, one transform parameter — moves to a fresh key.  Entries
-are plain JSON files: inspectable, diffable, and safe to delete.
+one frequency, one transform parameter — moves to a fresh key.  Each
+entry is one binary column file (:mod:`.colfile`): the scenario and
+stats as a JSON header, the result columns as raw buffers.  Entries are
+safe to delete.
 """
 
 from __future__ import annotations
@@ -18,15 +20,22 @@ from typing import Any
 
 from .. import obs
 from ..resilience import faults
+from . import colfile
 
 #: Bump whenever cached *results* could change — payload layout, model
 #: equations, fallback thresholds — so old entries miss instead of
 #: silently serving stale numbers.  The engine additionally folds the
 #: package version and the kernel's fallback constants into the key.
-#: v2: columnar payload ("columns": one list per PointResult field)
-#: replaces the row-wise "points"/"records" lists; v1 entries hash to
-#: other keys, so they are never looked up.
-CACHE_SCHEMA_VERSION = 2
+#: v3: entries are binary column files (``.col``) instead of JSON.
+CACHE_SCHEMA_VERSION = 3
+
+#: File suffix of a cache entry.
+ENTRY_SUFFIX = ".col"
+
+#: Suffix of the JSON entries written before schema v3.  They are never
+#: read, but :meth:`ResultCache.entries` still lists them so ``clear``,
+#: ``prune`` and ``stats`` reclaim and count their space.
+LEGACY_SUFFIX = ".json"
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_EXPLORE_CACHE"
@@ -51,14 +60,14 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """JSON-file-per-entry cache keyed by content hash."""
+    """Column-file-per-entry cache keyed by content hash."""
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
 
     def path_for(self, key: str) -> Path:
         """Where the entry for ``key`` lives (whether or not it exists)."""
-        return self.directory / f"{key}.json"
+        return self.directory / f"{key}{ENTRY_SUFFIX}"
 
     def quarantine_path_for(self, key: str) -> Path:
         """Where a quarantined entry for ``key`` is moved aside to."""
@@ -67,7 +76,7 @@ class ResultCache:
     def quarantine(self, key: str) -> bool:
         """Move the entry for ``key`` aside so the next get recomputes.
 
-        Used when an entry turns out corrupt — torn JSON here, or a
+        Used when an entry turns out corrupt — a torn file here, or a
         payload the engine could not parse back into a table.  The file
         is kept (renamed ``.quarantined``) for post-mortem rather than
         deleted; returns True when something was actually moved.
@@ -89,15 +98,15 @@ class ResultCache:
         """
         path = self.path_for(key)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                text = handle.read()
+            with path.open("rb") as handle:
+                data = handle.read()
             if faults.active():
-                text = faults.mangle("cache.read", text)
-            payload = json.loads(text)
+                data = faults.mangle("cache.read", data)
+            payload = colfile.decode(data)
         except FileNotFoundError:
             obs.inc("cache.disk.misses")
             return None
-        except (OSError, json.JSONDecodeError, faults.FaultError):
+        except (OSError, ValueError, faults.FaultError):
             self.quarantine(key)
             obs.inc("cache.disk.misses")
             return None
@@ -111,14 +120,15 @@ class ResultCache:
         half-written (and therefore poisoned) entry behind.
         """
         faults.check("cache.write")
+        data = colfile.encode(payload)
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         descriptor, temp_name = tempfile.mkstemp(
             dir=self.directory, suffix=".tmp"
         )
         try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(data)
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -133,7 +143,11 @@ class ResultCache:
         """Paths of every stored entry (empty when the dir is absent)."""
         if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob("*.json"))
+        return sorted(
+            path
+            for suffix in (ENTRY_SUFFIX, LEGACY_SUFFIX)
+            for path in self.directory.glob(f"*{suffix}")
+        )
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

@@ -280,10 +280,15 @@ class ResultTable:
         return cls.from_records([record.from_outcome(o) for o in outcomes])
 
     @classmethod
-    def from_payload_columns(cls, payload: Mapping[str, list]) -> "ResultTable":
-        """Rebuild from a field-name → value-list mapping, validating shape.
+    def from_payload_columns(cls, payload: Mapping[str, Any]) -> "ResultTable":
+        """Rebuild from a field-name → values mapping, validating shape.
 
-        Raises ``ValueError`` on a missing column or ragged lengths so a
+        The values may be arrays (a cache entry) or lists with ``None``
+        for missing operating-point values (:meth:`to_payload_columns`),
+        which numpy reads as NaN under ``dtype=float``.  The table gets
+        its own copy of every column: a memory-tier payload serves every
+        later hit, so writing into one table must not reach it.  Raises
+        ``ValueError`` on a missing column or ragged lengths so a
         corrupt cache entry surfaces as one well-typed error the engine
         can quarantine on, rather than a KeyError / broadcast error from
         deep inside numpy.
@@ -300,16 +305,12 @@ class ResultTable:
             raise ValueError(
                 f"cache payload columns are ragged: {lengths}"
             )
-        columns: dict[str, np.ndarray] = {}
-        for name in STRING_COLUMNS:
-            columns[name] = np.array(payload[name], dtype=object)
-        for name in FLOAT_COLUMNS:
+        columns = {
+            name: np.array(payload[name], dtype=object)
+            for name in STRING_COLUMNS
+        }
+        for name in FLOAT_COLUMNS + OPTIONAL_FLOAT_COLUMNS:
             columns[name] = np.array(payload[name], dtype=float)
-        for name in OPTIONAL_FLOAT_COLUMNS:
-            columns[name] = np.array(
-                [np.nan if value is None else value for value in payload[name]],
-                dtype=float,
-            )
         columns["feasible"] = np.array(payload["feasible"], dtype=bool)
         return cls(columns)
 
@@ -317,7 +318,7 @@ class ResultTable:
     def from_cache_payload(cls, payload: Mapping[str, Any]) -> "ResultTable":
         """Rebuild a table from a cache entry or a job result payload.
 
-        Both store ``"columns"`` (one list per field); a payload without
+        Both store ``"columns"`` (one array per field); a payload without
         them raises :class:`KeyError`, which the cache readers treat as
         a corrupt entry.
         """

@@ -803,9 +803,9 @@ def read_cached(
 ) -> tuple[ResultTable, EvaluationStats, bool] | None:
     """``(table, stats, parity_checked)`` stored under ``key``, or None.
 
-    An entry that parses as JSON but does not decode to a table and its
-    stats is quarantined and reads as a miss, the same contract as a
-    torn file: the caller recomputes instead of failing on it.
+    A well-formed entry that does not decode to a table and its stats
+    is quarantined and reads as a miss, the same contract as a torn
+    file: the caller recomputes instead of failing on it.
     """
     stored = cache.get(key)
     if stored is None:
@@ -912,7 +912,7 @@ def explore(
                         "stats": stats.to_dict(),
                         "parity_checked": parity_check
                         and method != "numerical",
-                        "columns": table.to_payload_columns(),
+                        "columns": table.columns,
                     },
                 )
         # The returned stats carry the complete phase map (including

@@ -672,7 +672,12 @@ class JobManager:
                 ),
                 shards_merged=len(pairs),
             )
-        if self.use_cache and not partial:
+        # A one-shard job's shard is the scenario itself: its explore()
+        # already stored (or hit) the entry under the inline key.
+        already_cached = [exploration.cache_key for _, exploration in pairs] == [
+            engine_key
+        ]
+        if self.use_cache and not partial and not already_cached:
             # Under the inline explore() key, so a later inline request
             # for the full scenario is a cache hit, not a re-run.  A
             # partial table must never be cached under the full key.
@@ -685,7 +690,7 @@ class JobManager:
                     "scenario": scenario.to_dict(),
                     "stats": stats.to_dict(),
                     "parity_checked": parity,
-                    "columns": table.to_payload_columns(),
+                    "columns": table.columns,
                 },
             )
         return ResultSet(
@@ -729,7 +734,7 @@ class JobManager:
         if result.stats is not None:
             payload["stats"] = result.stats.to_dict()
         # Every producer here returns a table-backed ResultSet.
-        payload["columns"] = result._table.to_payload_columns()
+        payload["columns"] = result._table.columns
         return payload
 
     # -- queries -------------------------------------------------------------

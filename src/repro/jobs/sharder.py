@@ -86,7 +86,8 @@ def shard_scenario(scenario: Scenario, n_shards: int | None = None) -> list[Shar
     Either way shard ``i`` expands to exactly ``row_indices[i]`` of the
     parent expansion, shard sizes differ by at most one axis unit, and
     the requested count is clamped to what the axes can support (a
-    single-point scenario yields one shard).
+    single-point scenario yields one shard).  A single shard is the
+    scenario itself, so it shares the unsharded run's cache entry.
     """
     if n_shards is None:
         n_shards = DEFAULT_MAX_SHARDS
@@ -98,6 +99,15 @@ def shard_scenario(scenario: Scenario, n_shards: int | None = None) -> list[Shar
     frequencies = tuple(scenario.frequencies)
     n_freq = len(frequencies)
     count = max(1, min(n_shards, max(n_arch, n_freq)))
+    if count == 1:
+        return [
+            Shard(
+                index=0,
+                count=1,
+                scenario=scenario,
+                row_indices=np.arange(scenario.size),
+            )
+        ]
 
     # Transform chains are folded into the derived architectures so each
     # sub-scenario is identity-chained; the parent expansion order

@@ -4,7 +4,9 @@
 :class:`JobRecord` mutation rewrites the job's file atomically
 (write-to-temp, ``os.replace``) — the same discipline as the result
 cache — so a killed process never leaves a half-written record, and a
-restarted one reloads every job exactly as last persisted.  Terminal
+restarted one reloads every job exactly as last persisted.  A finished
+job's result table is stored next to its record as one binary column
+file (:mod:`repro.explore.colfile`), the result cache's format.  Terminal
 states (``done`` / ``failed`` / ``cancelled``) therefore survive any
 restart; non-terminal jobs are what :meth:`JobManager.recover
 <repro.jobs.manager.JobManager.recover>` re-queues, which is safe
@@ -28,6 +30,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .. import obs
+from ..explore import colfile
 from ..resilience import faults
 
 __all__ = [
@@ -75,6 +78,12 @@ def default_jobs_dir() -> Path:
 
 def _new_job_id() -> str:
     return uuid.uuid4().hex[:16]
+
+
+def _record_bytes(record: "JobRecord") -> bytes:
+    # json.dump streams through the pure-Python encoder; json.dumps
+    # runs the C one and gives the same bytes.
+    return json.dumps(record.to_dict()).encode("utf-8")
 
 
 @dataclass
@@ -193,7 +202,7 @@ class JobStore:
         return self.directory / f"{job_id}.json"
 
     def result_path_for(self, job_id: str) -> Path:
-        return self.directory / f"{job_id}.result.json"
+        return self.directory / f"{job_id}.result.col"
 
     @staticmethod
     def _backup_path_for(path: Path) -> Path:
@@ -224,7 +233,7 @@ class JobStore:
         except OSError:
             pass
         try:
-            self._write(path, record.to_dict())
+            self._write(path, _record_bytes(record))
         except (OSError, faults.FaultError):
             pass
         return record
@@ -235,6 +244,8 @@ class JobStore:
         recovered = 0
         for path in sorted(self.directory.glob("*.json")):
             if path.name.endswith(".result.json"):
+                # A JSON result file from before results became column
+                # files: not a record, and no longer read.
                 continue
             record = self._read_record(path)
             if record is None:
@@ -253,7 +264,7 @@ class JobStore:
             if record is None or record.id in self._records:
                 continue
             try:
-                self._write(main, record.to_dict())
+                self._write(main, _record_bytes(record))
             except (OSError, faults.FaultError):
                 pass
             self._records[record.id] = record
@@ -261,15 +272,15 @@ class JobStore:
         if recovered:
             obs.inc("jobs.store.recovered", recovered)
 
-    def _write(self, path: Path, payload: Any, backup: bool = False) -> None:
+    def _write(self, path: Path, data: bytes, backup: bool = False) -> None:
         faults.check("store.write")
         self.directory.mkdir(parents=True, exist_ok=True)
         descriptor, temp_name = tempfile.mkstemp(
             dir=self.directory, suffix=".tmp"
         )
         try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(data)
             if backup and path.exists():
                 # Keep the previous good state next to the new one, so
                 # a record torn by a crash or disk fault recovers to its
@@ -294,7 +305,7 @@ class JobStore:
         record.updated_at = time.time()
         try:
             self._write(
-                self.path_for(record.id), record.to_dict(), backup=True
+                self.path_for(record.id), _record_bytes(record), backup=True
             )
         except (OSError, faults.FaultError):
             if not advisory:
@@ -440,17 +451,15 @@ class JobStore:
     def write_result(self, job_id: str, payload: Mapping[str, Any]) -> Path:
         """Persist a job's merged columnar result payload atomically."""
         path = self.result_path_for(job_id)
-        self._write(path, dict(payload))
+        self._write(path, colfile.encode(payload))
         return path
 
     def read_result(self, job_id: str) -> dict[str, Any] | None:
         """The stored result payload, or None when absent/unreadable."""
         try:
-            with self.result_path_for(job_id).open(
-                "r", encoding="utf-8"
-            ) as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            with self.result_path_for(job_id).open("rb") as handle:
+                return colfile.decode(handle.read())
+        except (OSError, ValueError):
             return None
 
     # -- change notification --------------------------------------------------

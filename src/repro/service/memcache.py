@@ -1,17 +1,21 @@
 """Tiered result caching: a thread-safe in-memory LRU over the disk cache.
 
 The on-disk :class:`~repro.explore.cache.ResultCache` makes repeated
-sweeps a file read; under serving traffic even that read (open + parse a
-multi-megabyte JSON entry per request) dominates the response time.
-:class:`MemoryCache` keeps the hottest payloads parsed in memory behind
-a lock, :class:`TieredCache` stacks it in front of the disk tier
-(memory hit → done; disk hit → promote; miss → evaluate, write both),
-and :func:`as_cache` is the one place the engine and ``Study`` turn a
-user-supplied cache spec into that stack — so the CLI and every
-in-process caller ride the warm tier too, not just the HTTP service.
+sweeps a file read; under serving traffic even that read (open, read
+and decode a column file of up to megabytes per request) dominates the
+response time.  :class:`MemoryCache` keeps the hottest payloads decoded
+in memory behind a lock, :class:`TieredCache` stacks it in front of the
+disk tier (memory hit → done; disk hit → promote; miss → evaluate,
+write both), and :func:`as_cache` is the one place the engine and
+``Study`` turn a user-supplied cache spec into that stack — so the CLI
+and every in-process caller ride the warm tier too, not just the HTTP
+service.
 
 Payloads are stored by reference and must be treated as immutable by
-consumers (the engine only ever parses them into frozen dataclasses).
+consumers.  :meth:`TieredCache.put` keeps its own copy of a payload's
+column arrays, and every :class:`~repro.explore.columnar.ResultTable`
+rebuilt from a hit copies them again, so writing into a returned table
+never changes what later hits serve.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def default_memory_cache() -> MemoryCache:
 
 
 class TieredCache:
-    """Memory LRU in front of the on-disk JSON cache, one ``get``/``put``.
+    """Memory LRU in front of the on-disk cache, one ``get``/``put``.
 
     Drop-in for :class:`~repro.explore.cache.ResultCache` where the
     engine and ``Study`` use it: ``get`` consults memory first and
@@ -195,6 +199,15 @@ class TieredCache:
 
     def put(self, key: str, payload: dict) -> Path:
         path = self.disk.put(key, payload)
+        if "columns" in payload:
+            # The caller keeps the table these arrays belong to.
+            payload = {
+                **payload,
+                "columns": {
+                    name: values.copy()
+                    for name, values in payload["columns"].items()
+                },
+            }
         self.memory.put(self._memory_key(key), payload)
         return path
 

@@ -555,7 +555,7 @@ class Study:
                         "solver": solver.name,
                         "scenario": scenario.to_dict(),
                         "stats": stats.to_dict(),
-                        "columns": table.to_payload_columns(),
+                        "columns": table.columns,
                     },
                 )
             stats = replace(stats, phases=dict(timer.phases))

@@ -1,4 +1,4 @@
-"""Content hashing and the JSON-on-disk result cache."""
+"""Content hashing and the on-disk result cache."""
 
 import os
 
@@ -52,7 +52,7 @@ class TestResultCache:
     def test_put_is_atomic_no_temp_left_behind(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("key", {"ok": True})
-        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert [p.suffix for p in tmp_path.iterdir()] == [".col"]
 
     def test_entries_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -61,6 +61,23 @@ class TestResultCache:
         assert len(cache.entries()) == 2
         assert cache.clear() == 2
         assert cache.entries() == []
+
+    def test_pre_v3_json_entries_are_listed_but_never_read(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("new", {"v": 1})
+        old = tmp_path / "old.json"
+        old.write_text('{"columns": {}}', encoding="utf-8")
+        os.utime(old, (1.0, 1.0))
+        assert cache.get("old") is None and old.exists()
+        assert cache.entries() == sorted([cache.path_for("new"), old])
+        assert cache.stats()["total_bytes"] == sum(
+            path.stat().st_size for path in cache.entries()
+        )
+        assert cache.prune(1) == 1
+        assert cache.entries() == [cache.path_for("new")]
+        old.write_text("{}", encoding="utf-8")
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_entries_on_missing_dir(self, tmp_path):
         assert ResultCache(tmp_path / "nope").entries() == []

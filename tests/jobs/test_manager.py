@@ -78,6 +78,19 @@ class TestSubmitAndResult:
         inline = explore(scenario, cache=manager.cache, use_cache=True)
         assert inline.cache_hit
 
+    def test_one_shard_job_reuses_the_sweeps_cache_entry(self, manager):
+        scenario = demo_scenario(frequency_points=2)
+        Study.from_scenario(scenario).cached(manager.cache).run()
+        record = manager.submit(scenario, solver="auto", shards=1)
+        assert manager.wait(record.id, timeout=WAIT)["state"] == "done"
+        shard_events = [
+            event
+            for event in manager.store.get(record.id).events
+            if event["event"] == "shard"
+        ]
+        assert [event["cache_hit"] for event in shard_events] == [True]
+        assert len(manager.cache.entries()) == 1
+
     def test_registry_solver_runs_as_one_unit(self, manager):
         scenario = demo_scenario(frequency_points=2)
         record = manager.submit(scenario, solver="closed_form", shards=4)

@@ -151,8 +151,16 @@ class TestTracesEndpoint:
         _, client = service
         client.healthz()
         client.solvers()
-        summaries = client.traces(limit=200)
-        routes = {t["route"] for t in summaries}
+        # Traces are recorded after the response is written: poll until
+        # both requests are listed.
+        deadline = time.monotonic() + 10.0
+        while True:
+            routes = {t["route"] for t in client.traces(limit=200)}
+            if {"/v1/healthz", "/v1/solvers"} <= routes:
+                break
+            if time.monotonic() >= deadline:  # pragma: no cover
+                break
+            time.sleep(0.05)
         assert "/v1/healthz" in routes
         only = client.traces(route="/v1/solvers", limit=200)
         assert only and all(t["route"] == "/v1/solvers" for t in only)

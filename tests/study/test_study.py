@@ -21,6 +21,7 @@ from repro import (
     numerical_optimum,
 )
 from repro import obs
+from repro.explore import colfile
 from repro.explore.analysis import pareto_frontier
 from repro.explore.cache import ResultCache
 from repro.explore.engine import explore
@@ -297,11 +298,11 @@ class TestCaching:
 
         study = small_study.solver(solver)
         fresh = study.cached(tier(tmp_path)).run()
-        # JSON-valid but without its stats: quarantined and recomputed.
+        # A well-formed entry without its stats: quarantined and recomputed.
         entry = fresh.cache_path
-        payload = json.loads(entry.read_text())
+        payload = colfile.decode(entry.read_bytes())
         del payload["stats"]
-        entry.write_text(json.dumps(payload))
+        entry.write_bytes(colfile.encode(payload))
         recovered = study.cached(tier(tmp_path)).run()
         assert not recovered.cache_hit
         assert recovered.records == fresh.records

@@ -74,7 +74,7 @@ from importlib import metadata as _metadata
 
 #: Fallback for source checkouts that were never pip-installed (the
 #: tier-1 ``PYTHONPATH=src`` workflow); keep in sync with pyproject.toml.
-_FALLBACK_VERSION = "1.9.0"
+_FALLBACK_VERSION = "1.10.0"
 
 try:  # installed: the single source of truth is the package metadata
     __version__ = _metadata.version("repro")

@@ -37,9 +37,7 @@ from typing import Any, Callable, Iterator, Mapping
 from .. import obs
 from ..resilience import Deadline, DeadlineExceeded, faults
 from ..explore.cache import CACHE_SCHEMA_VERSION, ResultCache
-from ..explore.columnar import ResultTable
 from ..explore.engine import (
-    EvaluationStats,
     ExplorationResult,
     _cache_key,
     explore,
@@ -384,9 +382,7 @@ class JobManager:
             obs.inc("jobs.failed")
         else:
             partial = bool(getattr(result, "partial", False))
-            self.store.write_result(
-                job_id, self._result_payload(result, coalesced)
-            )
+            self.store.write_result(job_id, result.to_payload(coalesced))
             if not partial:
                 # A full result completes the progress counters; a
                 # partial one keeps the honest shards_done/points_done
@@ -718,25 +714,6 @@ class JobManager:
             .run()
         )
 
-    def _result_payload(
-        self, result: ResultSet, coalesced: bool
-    ) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "solver": result.solver,
-            "n_records": len(result),
-            "coalesced": coalesced,
-            "cache": {"hit": result.cache_hit, "key": result.cache_key},
-        }
-        if getattr(result, "partial", False):
-            payload["partial"] = True
-        if result.scenario is not None:
-            payload["scenario"] = result.scenario.to_dict()
-        if result.stats is not None:
-            payload["stats"] = result.stats.to_dict()
-        # Every producer here returns a table-backed ResultSet.
-        payload["columns"] = result._table.columns
-        return payload
-
     # -- queries -------------------------------------------------------------
     def job(self, job_id: str) -> dict[str, Any]:
         """The status payload for one job (raises :class:`JobNotFound`)."""
@@ -811,28 +788,13 @@ class JobManager:
 
     def job_result(self, job_id: str) -> ResultSet:
         """The merged result of a ``done`` job as a typed ResultSet."""
-        payload = self._result_for(job_id)
-        table = ResultTable.from_cache_payload(payload)
-        stats = payload.get("stats")
-        cache = payload.get("cache", {})
-        return ResultSet(
-            records=table.rows(),
-            solver=str(payload.get("solver", "")),
-            scenario=Scenario.from_dict(payload["scenario"])
-            if "scenario" in payload
-            else None,
-            stats=EvaluationStats.from_dict(stats) if stats else None,
-            cache_hit=bool(cache.get("hit", False)),
-            cache_key=str(cache.get("key", "")),
-            partial=bool(payload.get("partial", False)),
-        )
+        return self.job_result_response(job_id)[0]
 
     def job_result_response(self, job_id: str) -> tuple[ResultSet, bool]:
-        """(ResultSet, coalesced) — what the result route serialises."""
-        payload = self._result_for(job_id)
-        return self.job_result(job_id), bool(payload.get("coalesced", False))
+        """(ResultSet, coalesced) — what the result route serialises.
 
-    def _result_for(self, job_id: str) -> dict[str, Any]:
+        Both come from one read of the job's result file.
+        """
         record = self.store.get(job_id)
         if record.state != "done":
             raise JobStateError(
@@ -844,7 +806,7 @@ class JobManager:
             raise JobStateError(
                 f"job {job_id} is done but its result file is missing"
             )
-        return payload
+        return ResultSet.from_payload(payload), bool(payload.get("coalesced"))
 
     def stream_events(
         self,

@@ -21,13 +21,14 @@ surface, built from four layers:
 ``server``
     The threaded HTTP front end (:class:`ExplorationServer`): bounded
     worker concurrency, request/latency logging, structured JSON
-    errors, NDJSON streaming for large sweeps, and the ``/v1/*`` routes
-    (``explore``, ``optimize``, ``solvers``, ``architectures``,
-    ``healthz``, ``cache/stats``).
+    errors, results as JSON, NDJSON or one binary column file, and the
+    ``/v1/*`` routes (``explore``, ``optimize``, ``solvers``,
+    ``architectures``, ``healthz``, ``cache/stats``).
 ``client``
     :class:`ServiceClient` — a thin stdlib client whose
     :meth:`~ServiceClient.study` mirrors the :class:`~repro.study.Study`
-    fluent API and returns the same :class:`~repro.study.ResultSet`.
+    fluent API and returns the same :class:`~repro.study.ResultSet`,
+    read from the binary column answer.
 
 Quick start::
 

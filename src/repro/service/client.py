@@ -5,13 +5,17 @@ returns a :class:`RemoteStudy` with the exact fluent builder of
 :class:`~repro.study.Study` (it *is* a ``Study`` subclass — the builder
 compiles the scenario client-side), whose ``run()`` posts to
 ``/v1/explore`` and reconstructs the very same typed
-:class:`~repro.study.ResultSet` from the response.  Records round-trip
-exactly (JSON floats are repr-exact), so remote and local runs of one
-scenario compare equal record-for-record.
+:class:`~repro.study.ResultSet` from the response.  Results travel as
+the server's binary column file (``application/x-repro-columns``): the
+result payload's fields plus the table's raw little-endian column
+buffers, so remote and local runs of one scenario compare equal
+record-for-record, bit for bit.  A body that does not decode raises
+``ServiceError(502, "bad-response")``; no table is ever built from a
+damaged body.
 
-Transport is ``urllib.request`` with JSON bodies; server-side failures
-surface as :class:`ServiceError` carrying the structured error payload
-(status / type / message) the server emits.  An optional bounded retry
+Transport is ``urllib.request`` with JSON request bodies; server-side
+failures surface as :class:`ServiceError` carrying the structured error
+payload (status / type / message) the server emits.  An optional bounded retry
 (``retries=``, off by default) with exponential backoff + jitter covers
 connection errors and 503s, so a poll loop survives a server restart.
 
@@ -27,19 +31,25 @@ import json
 import random
 import time
 import uuid
+from http.client import IncompleteRead
 from typing import Any, Iterator
 from urllib import error as urllib_error
 from urllib import request as urllib_request
 from urllib.parse import urlencode
 
 from .. import obs
-from ..explore.engine import EvaluationStats
+from ..explore import colfile
 from ..explore.scenario import Scenario
 from ..jobs.handle import AsyncResult
 from ..jobs.manager import JobTimeout
 from ..resilience import DEADLINE_HEADER
 from ..study import Record, ResultSet, Study
-from .server import JSON_CONTENT_TYPE, NDJSON_CONTENT_TYPE, ServiceError
+from .server import (
+    COLUMNS_CONTENT_TYPE,
+    JSON_CONTENT_TYPE,
+    NDJSON_CONTENT_TYPE,
+    ServiceError,
+)
 
 __all__ = ["RemoteStudy", "ServiceClient", "ServiceError"]
 
@@ -47,10 +57,6 @@ __all__ = ["RemoteStudy", "ServiceClient", "ServiceError"]
 #: seconds (plus up to 100% jitter), doubling to ``DEFAULT_BACKOFF_MAX``.
 DEFAULT_BACKOFF = 0.25
 DEFAULT_BACKOFF_MAX = 8.0
-
-#: Sweeps at least this large stream as NDJSON by default (the whole-
-#: payload JSON response is fine below it).
-STREAM_THRESHOLD = 512
 
 
 def _parse_retry_after(headers: Any) -> float | None:
@@ -191,21 +197,21 @@ class ServiceClient:
             delay = min(delay * 2.0, self.backoff_max)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _request(
+    def _send(
         self,
         method: str,
         path: str,
         payload: dict[str, Any] | None = None,
-        ndjson: bool = False,
+        accept: str = JSON_CONTENT_TYPE,
         extra_headers: dict[str, str] | None = None,
-    ) -> Any:
+    ):
+        """Open one request (retried as configured); returns the response."""
         headers = {
-            "Accept": NDJSON_CONTENT_TYPE if ndjson else JSON_CONTENT_TYPE,
+            "Accept": accept,
             **self._trace_headers(),
             **self._deadline_header(),
+            **(extra_headers or {}),
         }
-        if extra_headers:
-            headers.update(extra_headers)
         body = None
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
@@ -213,18 +219,45 @@ class ServiceClient:
         request = urllib_request.Request(
             self.base_url + path, data=body, method=method, headers=headers
         )
-        with self._open(request) as response:
-            if ndjson:
-                return list(_iter_ndjson(response))
+        return self._open(request)
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: dict[str, Any] | None = None,
+        extra_headers: dict[str, str] | None = None,
+    ) -> Any:
+        with self._send(
+            method, path, payload, extra_headers=extra_headers
+        ) as response:
             return json.loads(response.read().decode("utf-8"))
 
     def _get(self, path: str) -> dict[str, Any]:
         return self._request("GET", path)
 
-    def _post(
-        self, path: str, payload: dict[str, Any], ndjson: bool = False
-    ) -> Any:
-        return self._request("POST", path, payload, ndjson=ndjson)
+    def _post(self, path: str, payload: dict[str, Any]) -> Any:
+        return self._request("POST", path, payload)
+
+    def _result(
+        self, method: str, path: str, payload: dict[str, Any] | None = None
+    ) -> ResultSet:
+        """A result route's answer as a column file, as a ResultSet."""
+        with self._send(
+            method, path, payload, accept=COLUMNS_CONTENT_TYPE
+        ) as response:
+            try:
+                content_type = response.headers.get_content_type()
+                if content_type != COLUMNS_CONTENT_TYPE:
+                    raise ValueError(f"the body is {content_type}")
+                return ResultSet.from_payload(colfile.decode(response.read()))
+            except (ValueError, KeyError, TypeError, IncompleteRead) as error:
+                raise ServiceError(
+                    502,
+                    "bad-response",
+                    f"{method} {path} did not answer a valid "
+                    f"{COLUMNS_CONTENT_TYPE} body: {error}",
+                ) from None
 
     # -- introspection -------------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -253,11 +286,9 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """``/v1/metrics`` in the Prometheus text exposition format."""
-        request = urllib_request.Request(
-            self.base_url + "/v1/metrics",
-            headers={**self._trace_headers(), **self._deadline_header()},
-        )
-        with self._open(request) as response:
+        with self._send(
+            "GET", "/v1/metrics", accept=obs.PROMETHEUS_CONTENT_TYPE
+        ) as response:
             return response.read().decode("utf-8")
 
     def traces(
@@ -294,15 +325,8 @@ class ServiceClient:
         solver: str = "auto",
         jobs: int | None = None,
         options: dict[str, Any] | None = None,
-        stream: bool | None = None,
     ) -> ResultSet:
-        """Run a scenario remotely; returns the same ``ResultSet`` shape.
-
-        ``stream=None`` picks NDJSON automatically for sweeps of
-        ``STREAM_THRESHOLD`` candidates or more.
-        """
-        if stream is None:
-            stream = scenario.size >= STREAM_THRESHOLD
+        """Run a scenario remotely; returns the same ``ResultSet`` shape."""
         payload: dict[str, Any] = {
             "scenario": scenario.to_dict(),
             "solver": solver,
@@ -311,14 +335,7 @@ class ServiceClient:
             payload["jobs"] = jobs
         if options:
             payload["options"] = options
-        if stream:
-            header, records = _split_ndjson(
-                self._post("/v1/explore", payload, ndjson=True)
-            )
-        else:
-            header = self._post("/v1/explore", payload)
-            records = header.get("records", [])
-        return _resultset_from_payload(header, records)
+        return self._result("POST", "/v1/explore", payload)
 
     def optimize(
         self,
@@ -409,21 +426,9 @@ class ServiceClient:
         """``DELETE /v1/jobs/{id}`` — request cancellation."""
         return self._request("DELETE", f"/v1/jobs/{job_id}")["job"]
 
-    def job_result(self, job_id: str, stream: bool = True) -> ResultSet:
-        """``GET /v1/jobs/{id}/result`` — the merged ResultSet.
-
-        Streams columnar NDJSON by default (job-sized sweeps are
-        usually large); ``stream=False`` fetches one JSON document.
-        """
-        path = f"/v1/jobs/{job_id}/result"
-        if stream:
-            header, records = _split_ndjson(
-                self._request("GET", path, ndjson=True)
-            )
-        else:
-            header = self._get(path)
-            records = header.get("records", [])
-        return _resultset_from_payload(header, records)
+    def job_result(self, job_id: str) -> ResultSet:
+        """``GET /v1/jobs/{id}/result`` — the merged ResultSet."""
+        return self._result("GET", f"/v1/jobs/{job_id}/result")
 
     def job_events(
         self, job_id: str, timeout: float = 30.0
@@ -433,15 +438,11 @@ class ServiceClient:
         Yields event dicts as the server emits them; the stream ends at
         a terminal state or after ``timeout`` seconds without news.
         """
-        request = urllib_request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events?timeout={timeout:g}",
-            headers={
-                "Accept": NDJSON_CONTENT_TYPE,
-                **self._trace_headers(),
-                **self._deadline_header(),
-            },
-        )
-        with self._open(request) as response:
+        with self._send(
+            "GET",
+            f"/v1/jobs/{job_id}/events?timeout={timeout:g}",
+            accept=NDJSON_CONTENT_TYPE,
+        ) as response:
             yield from _iter_ndjson(response)
 
 
@@ -497,41 +498,3 @@ def _iter_ndjson(response) -> Iterator[dict[str, Any]]:
         line = raw.strip()
         if line:
             yield json.loads(line.decode("utf-8"))
-
-
-def _split_ndjson(
-    lines: list[dict[str, Any]],
-) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    if not lines or lines[0].get("kind") != "header":
-        raise ServiceError(
-            502, "bad-stream", "NDJSON stream did not start with a header line"
-        )
-    header = {k: v for k, v in lines[0].items() if k != "kind"}
-    records = [
-        {k: v for k, v in line.items() if k != "kind"}
-        for line in lines[1:]
-        if line.get("kind") == "record"
-    ]
-    return header, records
-
-
-def _resultset_from_payload(
-    header: dict[str, Any], records: list[dict[str, Any]]
-) -> ResultSet:
-    scenario = None
-    if "scenario" in header:
-        scenario = Scenario.from_dict(header["scenario"])
-    stats = None
-    if "stats" in header:
-        stats = EvaluationStats.from_dict(header["stats"])
-    cache = header.get("cache", {})
-    return ResultSet(
-        records=[Record.from_dict(record) for record in records],
-        solver=str(header.get("solver", "")),
-        scenario=scenario,
-        stats=stats,
-        cache_hit=bool(cache.get("hit", False)),
-        cache_key=str(cache.get("key", "")),
-        cache_path=None,
-        partial=bool(header.get("partial", False)),
-    )

@@ -23,15 +23,23 @@ Routes
                            ``route=``, ``min_ms=``, ``error=1``, ``limit=``)
 ``GET  /v1/traces/{id}``   one trace in full: the assembled span tree,
                            async job spans stitched under the request
-``POST /v1/explore``       Scenario JSON in → records out (NDJSON optional)
+``POST /v1/explore``       Scenario JSON in → records out (JSON, NDJSON or
+                           binary columns, see below)
 ``POST /v1/optimize``      one (architecture, technology, frequency) solve
 ``POST /v1/jobs``          submit a sweep as an async sharded job (202)
 ``GET  /v1/jobs``          list all jobs, newest first
 ``GET  /v1/jobs/{id}``     one job's state + progress counters
-``GET  /v1/jobs/{id}/result``  the merged columnar result (NDJSON optional)
+``GET  /v1/jobs/{id}/result``  the merged result, in the same three formats
 ``GET  /v1/jobs/{id}/events``  NDJSON progress stream, follows to terminal
 ``DELETE /v1/jobs/{id}``   cancel (immediate when queued, at the next
                            shard boundary when running)
+
+The two result routes answer JSON by default.  ``?stream=1`` or
+``Accept: application/x-ndjson`` streams NDJSON: one header line, one
+line per record.  ``Accept: application/x-repro-columns`` answers the
+result payload (:meth:`~repro.study.ResultSet.to_payload`) as one
+:mod:`~repro.explore.colfile` column file, which is what
+:class:`~.client.ServiceClient` asks for.
 
 Every response carries an ``X-Request-Id`` header (the client's, when
 it sent a well-formed one; minted otherwise); the same id appears in
@@ -84,7 +92,7 @@ from ..resilience import (
     install_faults,
     uninstall_faults,
 )
-from ..explore.columnar import ResultRows
+from ..explore import colfile
 from ..explore.engine import flight_key
 from ..explore.scenario import FrequencyGrid, Scenario
 from ..jobs import (
@@ -107,6 +115,7 @@ from .memcache import (
 )
 
 __all__ = [
+    "COLUMNS_CONTENT_TYPE",
     "DEFAULT_MAX_BODY",
     "ExplorationServer",
     "NDJSON_CONTENT_TYPE",
@@ -122,6 +131,8 @@ DEFAULT_MAX_BODY = 1 << 20
 
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 JSON_CONTENT_TYPE = "application/json"
+#: A result payload as one :mod:`~repro.explore.colfile` column file.
+COLUMNS_CONTENT_TYPE = "application/x-repro-columns"
 
 
 class ServiceError(Exception):
@@ -534,26 +545,12 @@ def parse_optimize_request(
     return scenario, name, options
 
 
-def _header_payload(result: ResultSet, coalesced: bool) -> dict[str, Any]:
-    """Provenance shared by both response formats (everything but records)."""
-    payload: dict[str, Any] = {
-        "solver": result.solver,
-        "n_records": len(result),
-        "coalesced": coalesced,
-        "cache": {"hit": result.cache_hit, "key": result.cache_key},
-    }
-    if result.partial:
-        payload["partial"] = True
-    if result.scenario is not None:
-        payload["scenario"] = result.scenario.to_dict()
-    if result.stats is not None:
-        payload["stats"] = result.stats.to_dict()
-    return payload
-
-
 def resultset_payload(result: ResultSet, coalesced: bool) -> dict[str, Any]:
-    """The ``/v1/explore`` response body (everything the client rebuilds)."""
-    return {**_header_payload(result, coalesced), "records": result.to_dicts()}
+    """The JSON answer: the result payload with records for its columns."""
+    payload = result.to_payload(coalesced)
+    del payload["columns"]
+    payload["records"] = result.to_dicts()
+    return payload
 
 
 #: Records serialised per chunk of the NDJSON stream (one socket write
@@ -562,29 +559,18 @@ NDJSON_CHUNK_ROWS = 2048
 
 
 def ndjson_lines(result: ResultSet, coalesced: bool) -> "Iterator[str]":
-    """The same response as NDJSON: one header line, one line per record.
+    """The same answer as NDJSON: one header line, one line per record.
 
     A generator of newline-joined chunks, so large sweeps stream for
-    real — the response is never materialised as a whole.  Table-backed
-    result sets (every engine run) serialise straight from the column
-    arrays, :data:`NDJSON_CHUNK_ROWS` records per chunk, without
-    materialising a single record object; the wire format is unchanged
-    (one JSON document per line, sorted keys).
+    real — the response is never materialised as a whole.  Records
+    serialise straight from the table's column arrays,
+    :data:`NDJSON_CHUNK_ROWS` per chunk, one JSON document per line
+    with sorted keys.
     """
-    yield json.dumps(
-        {"kind": "header", **_header_payload(result, coalesced)},
-        sort_keys=True,
-    )
-    records = result.records
-    if isinstance(records, ResultRows):
-        yield from records.table.iter_ndjson_chunks(
-            chunk_rows=NDJSON_CHUNK_ROWS
-        )
-        return
-    for record in records:
-        yield json.dumps(
-            {"kind": "record", **record.to_dict()}, sort_keys=True
-        )
+    header = result.to_payload(coalesced)
+    del header["columns"]
+    yield json.dumps({"kind": "header", **header}, sort_keys=True)
+    yield from result._table.iter_ndjson_chunks(chunk_rows=NDJSON_CHUNK_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +927,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         registry = obs.get_registry()
         text = obs.prometheus_text(registry) if registry is not None else ""
-        self._send_text(200, text, obs.PROMETHEUS_CONTENT_TYPE)
+        self._send_body(200, text.encode("utf-8"), obs.PROMETHEUS_CONTENT_TYPE)
 
     def _trace_store(self) -> obs.TraceStore:
         store = self.server.state.traces
@@ -1015,10 +1001,7 @@ class _Handler(BaseHTTPRequestHandler):
             f"{' cache-hit' if result.cache_hit else ''}"
             f"{' coalesced' if coalesced else ''}"
         )
-        if self._wants_ndjson():
-            self._send_ndjson(ndjson_lines(result, coalesced))
-        else:
-            self._send_json(200, resultset_payload(result, coalesced))
+        self._send_result(result, coalesced)
 
     def _route_optimize(self) -> None:
         scenario, solver, options = parse_optimize_request(
@@ -1110,10 +1093,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_job_result(self, job_id: str) -> None:
         result, coalesced = self.server.state.jobs.job_result_response(job_id)
         self._note = f"job {job_id} result ({len(result)} records)"
-        if self._wants_ndjson():
-            self._send_ndjson(ndjson_lines(result, coalesced))
-        else:
-            self._send_json(200, resultset_payload(result, coalesced))
+        self._send_result(result, coalesced)
 
     def _route_job_events(self, job_id: str) -> None:
         state = self.server.state
@@ -1170,12 +1150,20 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return payload
 
-    def _wants_ndjson(self) -> bool:
-        stream = self._query.get("stream", [""])[0].lower()
-        if stream in ("1", "true", "ndjson", "yes"):
-            return True
+    def _send_result(self, result: ResultSet, coalesced: bool) -> None:
+        """A result in the format the request negotiated."""
         accept = self.headers.get("Accept", "")
-        return NDJSON_CONTENT_TYPE in accept
+        stream = self._query.get("stream", [""])[0].lower()
+        if COLUMNS_CONTENT_TYPE in accept:
+            faults.check("http.response")
+            body = colfile.encode(result.to_payload(coalesced))
+            self._send_body(200, body, COLUMNS_CONTENT_TYPE)
+        elif NDJSON_CONTENT_TYPE in accept or stream in (
+            "1", "true", "ndjson", "yes"
+        ):
+            self._send_ndjson(ndjson_lines(result, coalesced))
+        else:
+            self._send_json(200, resultset_payload(result, coalesced))
 
     def _send_trace_headers(self) -> None:
         self.send_header("X-Request-Id", self._request_id)
@@ -1194,21 +1182,20 @@ class _Handler(BaseHTTPRequestHandler):
             # error handler sending the resulting 500 cannot re-fire it.
             faults.check("http.response")
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", JSON_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self._send_trace_headers()
-        self.end_headers()
-        self.wfile.write(body)
-        self._log_request(status, len(body))
+        self._send_body(status, body, JSON_CONTENT_TYPE, headers)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict[str, str] | None = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self._send_trace_headers()
         self.end_headers()
         self.wfile.write(body)

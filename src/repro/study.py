@@ -177,6 +177,55 @@ class ResultSet:
             return table.to_dicts()
         return [record.to_dict() for record in self.records]
 
+    def to_payload(self, coalesced: bool = False) -> dict[str, Any]:
+        """The result payload: provenance fields plus ``"columns"``.
+
+        The one machine form of a result.  A job's result file and the
+        service's binary answer are this payload as a column file; the
+        JSON and NDJSON answers carry its fields with per-row records in
+        place of ``"columns"``.  :meth:`from_payload` inverts it.  Only a
+        table-backed set (every engine, registry and job run) has one.
+        """
+        table = self._table
+        if table is None:
+            raise ValueError("only a table-backed ResultSet has a payload")
+        payload: dict[str, Any] = {
+            "solver": self.solver,
+            "n_records": len(table),
+            "coalesced": coalesced,
+            "cache": {"hit": self.cache_hit, "key": self.cache_key},
+        }
+        if self.partial:
+            payload["partial"] = True
+        if self.scenario is not None:
+            payload["scenario"] = self.scenario.to_dict()
+        if self.stats is not None:
+            payload["stats"] = self.stats.to_dict()
+        payload["columns"] = table.columns
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any]) -> "ResultSet":
+        """The table-backed set a :meth:`to_payload` dict describes.
+
+        A payload without ``"columns"`` raises ``KeyError``; missing or
+        ragged columns raise ``ValueError``.
+        """
+        table = ResultTable.from_cache_payload(payload)
+        stats = payload.get("stats")
+        cache = payload.get("cache", {})
+        return cls(
+            records=table.rows(),
+            solver=str(payload.get("solver", "")),
+            scenario=Scenario.from_dict(payload["scenario"])
+            if "scenario" in payload
+            else None,
+            stats=EvaluationStats.from_dict(stats) if stats else None,
+            cache_hit=bool(cache.get("hit", False)),
+            cache_key=str(cache.get("key", "")),
+            partial=bool(payload.get("partial", False)),
+        )
+
     def to_json(self, indent: int | None = 2) -> str:
         """The whole result set — records plus provenance — as JSON."""
         payload: dict[str, Any] = {

@@ -199,6 +199,46 @@ class TestExploreCache:
         assert explore(small_scenario, cache=tmp_path, jobs=1).cache_hit
 
 
+class TestReleaseFreeHeap:
+    def test_large_evaluations_trim_once_and_hits_never(
+        self, small_scenario, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(engine_module, "_malloc_trim", lambda: calls.append)
+        monkeypatch.setattr(
+            engine_module, "RELEASE_HEAP_MIN_ROWS", small_scenario.size
+        )
+        explore(small_scenario, cache=tmp_path, jobs=1)
+        assert calls == [0]
+        assert explore(small_scenario, cache=tmp_path, jobs=1).cache_hit
+        explore(small_scenario, use_cache=False, jobs=1)
+        assert calls == [0, 0]
+
+    def test_smaller_evaluations_keep_their_heap(
+        self, small_scenario, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(engine_module, "_malloc_trim", lambda: calls.append)
+        monkeypatch.setattr(
+            engine_module, "RELEASE_HEAP_MIN_ROWS", small_scenario.size + 1
+        )
+        explore(small_scenario, use_cache=False, jobs=1)
+        assert calls == []
+
+    def test_without_malloc_trim_results_are_unchanged(
+        self, small_scenario, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "RELEASE_HEAP_MIN_ROWS", 1)
+        trimmed = explore(small_scenario, use_cache=False, jobs=1)
+        monkeypatch.setattr(engine_module, "_malloc_trim", lambda: None)
+        untrimmed = explore(small_scenario, use_cache=False, jobs=1)
+        assert untrimmed.points == trimmed.points
+
+    def test_lookup_gives_a_callable_or_none(self):
+        trim = engine_module._malloc_trim()
+        assert trim is None or trim(0) in (0, 1)
+
+
 class TestPointResult:
     def test_round_trip(self, small_scenario, tmp_path):
         result = explore(small_scenario, cache=tmp_path, jobs=1)

@@ -6,6 +6,8 @@ from repro.explore.scenario import demo_scenario
 from repro.service.client import RemoteStudy, ServiceClient, ServiceError
 from repro.study import ResultSet, Study
 
+from .wire import explore_body, ndjson_result
+
 ARCH = {
     "name": "w16",
     "n_cells": 729,
@@ -29,9 +31,12 @@ class TestRoundTripParity:
         assert remote.scenario == local.scenario
 
     def test_streamed_explore_matches_study_run(self, service):
-        _, client = service
+        server, _ = service
         scenario = demo_scenario(frequency_points=3)
-        remote = client.explore(scenario, solver="auto", jobs=1, stream=True)
+        remote = ndjson_result(
+            server.url + "/v1/explore",
+            explore_body(scenario, solver="auto", jobs=1),
+        )
         local = Study.from_scenario(scenario).solver("auto").jobs(1).run()
         assert remote.records == local.records
 

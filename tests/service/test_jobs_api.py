@@ -10,7 +10,13 @@ from repro.cli import main
 from repro.explore.engine import explore
 from repro.explore.scenario import demo_scenario
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ExplorationServer, ServiceConfig
+from repro.service.server import (
+    COLUMNS_CONTENT_TYPE,
+    ExplorationServer,
+    ServiceConfig,
+)
+
+from .wire import fetch, json_result, ndjson_result
 
 WAIT = 30.0
 
@@ -62,9 +68,10 @@ class TestJobLifecycle:
         assert status["progress"]["points_done"] == scenario.size
         assert status["scenario_name"] == scenario.name
 
-        # NDJSON stream (the default) and plain JSON agree with inline.
-        streamed = client.job_result(handle.id)
-        plain = client.job_result(handle.id, stream=False)
+        # The NDJSON stream and plain JSON agree with inline.
+        path = f"{server.url}/v1/jobs/{handle.id}/result"
+        streamed = ndjson_result(path)
+        plain = json_result(path)
         inline = explore(scenario, use_cache=False)
         assert len(streamed) == len(inline.table) == len(plain)
         for remote in (streamed, plain):
@@ -78,6 +85,31 @@ class TestJobLifecycle:
 
         listed = {payload["id"] for payload in client.jobs()}
         assert handle.id in listed
+
+    @pytest.mark.parametrize(
+        "accept",
+        ["application/json", "application/x-ndjson", COLUMNS_CONTENT_TYPE],
+    )
+    def test_result_file_is_read_once_per_request(
+        self, service, monkeypatch, accept
+    ):
+        server, client = service
+        handle = client.submit(demo_scenario(frequency_points=2), shards=2)
+        assert client.wait(handle.id, timeout=WAIT, poll=0.05)["state"] == "done"
+        store = server.state.jobs.store
+        read_result = store.read_result
+        reads = []
+
+        def counted(job_id):
+            reads.append(job_id)
+            return read_result(job_id)
+
+        monkeypatch.setattr(store, "read_result", counted)
+        content_type, _ = fetch(
+            f"{server.url}/v1/jobs/{handle.id}/result", accept=accept
+        )
+        assert content_type == accept
+        assert reads == [handle.id]
 
     def test_submit_returns_202_with_a_job_payload(self, service):
         server, client = service

@@ -20,6 +20,8 @@ from repro.service.server import (
 )
 from repro.study import Study
 
+from .wire import explore_body, json_result, ndjson_result
+
 ARCH = {
     "name": "w16",
     "n_cells": 729,
@@ -93,10 +95,11 @@ class TestExploreRoute:
         assert second.records == first.records
 
     def test_ndjson_stream_matches_plain_response(self, service):
-        _, client = service
+        server, _ = service
         scenario = demo_scenario(frequency_points=2)
-        plain = client.explore(scenario, solver="auto", jobs=1, stream=False)
-        streamed = client.explore(scenario, solver="auto", jobs=1, stream=True)
+        body = explore_body(scenario, solver="auto", jobs=1)
+        plain = json_result(server.url + "/v1/explore", body)
+        streamed = ndjson_result(server.url + "/v1/explore", body)
         assert streamed.records == plain.records
         assert streamed.solver == plain.solver
         # Phase timings are per-run (the first request computed, the

@@ -1,17 +1,20 @@
 """ResultSet edge cases the service will hit in production.
 
-Empty sweeps (every candidate filtered out), single-record frontiers and
-the JSON wire round-trip the :class:`~repro.service.client.ServiceClient`
-relies on: a ``ResultSet`` rebuilt from serialized records must equal the
+Empty sweeps (every candidate filtered out), single-record frontiers,
+the JSON round-trip curl users rely on and the result-payload round-trip
+behind job result files and the :class:`~repro.service.client.
+ServiceClient`: a ``ResultSet`` rebuilt from either must equal the
 original, record for record.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from repro.explore import colfile
 from repro.explore.engine import EvaluationStats
 from repro.study import Record, ResultSet, Study
 
@@ -120,3 +123,17 @@ class TestJsonRoundTrip:
     def test_empty_round_trip(self, empty):
         wire = json.loads(json.dumps(empty.to_dicts()))
         assert [Record.from_dict(r) for r in wire] == []
+
+
+class TestPayloadRoundTrip:
+    def test_payload_round_trips_through_a_column_file(self, reference):
+        payload = reference.to_payload(coalesced=True)
+        decoded = colfile.decode(colfile.encode(payload))
+        assert decoded["coalesced"] is True
+        assert decoded["n_records"] == len(reference)
+        rebuilt = ResultSet.from_payload(decoded)
+        assert rebuilt == dataclasses.replace(reference, cache_path=None)
+
+    def test_only_table_backed_sets_have_a_payload(self, reference):
+        with pytest.raises(ValueError, match="table-backed"):
+            reference.feasible().to_payload()

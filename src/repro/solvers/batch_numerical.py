@@ -20,14 +20,19 @@ and each loop iteration performs the identical accept/reject logic with
 ``np.where`` masks.  Points that converge are written out and dropped
 from the arrays, so each iteration evaluates the objective once for
 exactly the points scipy would still be stepping — a handful of array
-operations instead of thousands of Python calls, and the same total
-number of objective evaluations as the scalar searches.
+operations instead of thousands of Python calls.
+
+Points whose total power provably rises across the whole ``Vdd`` span
+(:func:`_power_rises`) are not searched: they get the result the search
+would pin at the span's lower end.
 
 Because the port replays scipy's arithmetic operation-for-operation on
-the same IEEE doubles, the returned ``Vdd`` is *bit-identical* to what
+the same IEEE doubles, every searched ``Vdd`` is *bit-identical* to what
 ``numerical_optimum`` computes, point for point — including the
 boundary-pinned infeasible cases, whose "optimum pinned at search
-boundary" reason strings therefore match the scalar solver's verbatim.
+boundary" reason strings therefore match the scalar solver's verbatim
+(a certified point's too: it is certified only where every stopping
+point of the search prints the same).
 The final power split evaluates the exact Eq. 5 + Eq. 1 chain with the
 scalar path's operation order, so feasible results are bit-identical
 too (the test-suite asserts 1e-9 relative, and byte-equality holds in
@@ -149,9 +154,8 @@ def exact_chi(
     scalar reference, the exponentiation runs on python floats.
     """
     base = frequency * logical_depth * zeta_effective / denominator
-    return np.array(
-        [b**e for b, e in zip(base.tolist(), inv_alpha.tolist())],
-        dtype=float,
+    return np.fromiter(
+        map(pow, base.tolist(), inv_alpha.tolist()), float, count=base.size
     )
 
 
@@ -251,6 +255,9 @@ _OBJECTIVE_COLUMNS = (
     "inv_alpha",
     "n_ut",
 )
+
+#: The columns :func:`_fminbound_batch` reads: the objective's plus the span.
+_SEARCH_COLUMNS = _OBJECTIVE_COLUMNS + ("vdd_lo", "vdd_hi")
 
 
 def _fminbound_batch(
@@ -377,6 +384,42 @@ def _fminbound_batch(
     return result
 
 
+def _power_rises(task: BatchNumericalTask) -> np.ndarray:
+    """Rows whose total power provably rises across the whole Vdd span.
+
+    Along the exact constraint ``d ln Pstat/dV = (n·Ut − h(V)) / (V·n·Ut)``
+    with ``h(V) = V − χβV^β``, ``β = 1/α``, and ``Pdyn ∝ V²`` always
+    rises, so Ptot rises wherever ``h ≤ n·Ut``.  For ``β ≤ 1``
+    (``Technology`` keeps ``α`` in [1, 2]) ``h(V)/V`` never falls, so
+    ``h ≤ max(0, h(hi))`` on the whole span: the upper end decides.
+    Rows whose Ptot overflows are left to the search, which no longer
+    follows the curve once its values are infinite.
+    """
+    beta, hi = task.inv_alpha, task.vdd_hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            (beta <= 1.0)
+            & (hi - task.chi * beta * hi**beta <= task.n_ut)
+            & np.isfinite(_objective(task, hi))
+        )
+
+
+def _prints_alike(ends: np.ndarray, width: float) -> np.ndarray:
+    """Rows whose every value from ``ends`` to ``ends + width`` prints the
+    same to 4 decimals; rounding is monotone, so the two ends decide."""
+    distinct, inverse = np.unique(ends, return_inverse=True)
+    alike = [f"{v:.4f}" == f"{v + width:.4f}" for v in distinct.tolist()]
+    return np.array(alike, dtype=bool)[inverse]
+
+
+def _pinned_reason(name: str, vdd: float) -> str:
+    """The scalar solver's exception message, verbatim."""
+    return (
+        f"numerical_optimum[{name}]: optimum pinned at search boundary "
+        f"Vdd={vdd:.4f} V — problem infeasible or span too narrow"
+    )
+
+
 def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
     """Solve every task point at once; see the module docstring."""
     n = task.size
@@ -392,27 +435,44 @@ def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
             reason=np.array([], dtype=object),
         )
 
-    vdd = _fminbound_batch(task)
-    interval = task.vdd_hi - task.vdd_lo
+    lo, hi = task.vdd_lo, task.vdd_hi
+    interval = hi - lo
+    # The search stops once its bracket [a, b] is at most 4·tol1 wide, with
+    # tol1 = √ε·|Vdd| + XATOL/3.  On a rising curve a stays at lo, so the
+    # search stops within ``width`` of lo, inside the pinned margin.
+    width = 4.0 * (math.sqrt(2.2e-16) * float(np.max(hi)) + XATOL / 3.0)
+    lo_alike, hi_alike = _prints_alike(lo, width), _prints_alike(hi, -width)
+    certified = _power_rises(task) & lo_alike & (width < BOUNDARY_MARGIN * interval)
+    search = np.flatnonzero(~certified)
+    vdd = lo.copy()
+    vdd[search] = _fminbound_batch(
+        replace(task, **{c: getattr(task, c)[search] for c in _SEARCH_COLUMNS})
+    )
     # The scalar solver treats a boundary-pinned minimiser as
     # infeasibility (the bounded search cannot certify an optimum there).
     with np.errstate(invalid="ignore"):
         feasible = ~(
-            (vdd - task.vdd_lo < BOUNDARY_MARGIN * interval)
-            | (task.vdd_hi - vdd < BOUNDARY_MARGIN * interval)
+            (vdd - lo < BOUNDARY_MARGIN * interval)
+            | (hi - vdd < BOUNDARY_MARGIN * interval)
         )
 
     reason = np.empty(n, dtype=object)
     reason.fill("")
     pinned = np.flatnonzero(~feasible)
-    # The scalar solver's exception message, reproduced verbatim so
-    # ``method="auto"`` reports byte-identical infeasibility reasons
-    # whether a point was solved here or by the scipy reference.
-    reason[pinned] = [
-        f"numerical_optimum[{name}]: optimum pinned at search boundary "
-        f"Vdd={value:.4f} V — problem infeasible or span too narrow"
-        for name, value in zip(task.name[pinned].tolist(), vdd[pinned].tolist())
+    # A value within ``width`` of an end that prints alike prints as that
+    # end.  Rows come architecture by architecture, so equal texts come
+    # in runs; each run's text is looked up once.
+    shown = np.where(lo_alike & (vdd - lo <= width), lo, vdd)
+    shown = np.where(hi_alike & (hi - vdd <= width), hi, shown)[pinned]
+    names = task.name[pinned]
+    starts = np.ones(pinned.size, dtype=bool)
+    starts[1:] = (names[1:] != names[:-1]) | (shown[1:] != shown[:-1])
+    texts: dict[tuple[str, float], str] = {}
+    run_texts = [
+        texts.get(key) or texts.setdefault(key, _pinned_reason(*key))
+        for key in zip(names[starts].tolist(), shown[starts].tolist())
     ]
+    reason[pinned] = np.array(run_texts, dtype=object)[np.cumsum(starts) - 1]
 
     vth, pdyn, pstat, ptot = _power_split(task, vdd)
     nan = np.nan

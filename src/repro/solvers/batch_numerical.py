@@ -22,17 +22,18 @@ from the arrays, so each iteration evaluates the objective once for
 exactly the points scipy would still be stepping — a handful of array
 operations instead of thousands of Python calls.
 
-Points whose total power provably rises across the whole ``Vdd`` span
-(:func:`_power_rises`) are not searched: they get the result the search
-would pin at the span's lower end.
+Before every step, a point whose search bracket [a, b] still touches
+an end of the span stops if its total power provably rises on [lo, b]
+or falls on [a, hi]: the search could only end pinned at that end, so
+the point is written out there (:func:`_fminbound_batch` has the proof).
 
 Because the port replays scipy's arithmetic operation-for-operation on
 the same IEEE doubles, every searched ``Vdd`` is *bit-identical* to what
 ``numerical_optimum`` computes, point for point — including the
 boundary-pinned infeasible cases, whose "optimum pinned at search
 boundary" reason strings therefore match the scalar solver's verbatim
-(a certified point's too: it is certified only where every stopping
-point of the search prints the same).
+(a certified point's too: an end is certified only where every point
+the search could stop at prints the same).
 The final power split evaluates the exact Eq. 5 + Eq. 1 chain with the
 scalar path's operation order, so feasible results are bit-identical
 too (the test-suite asserts 1e-9 relative, and byte-equality holds in
@@ -70,13 +71,20 @@ XATOL = 1e-7
 #: method (which counts objective evaluations, ``nfev``).  Each point
 #: stops at its own convergence well before it: on the 100,800-point
 #: mixed benchmark sweep, feasible points stop after a median of 15
-#: evaluations, boundary-pinned ones after 54 and the slowest after 89.
+#: evaluations and at most 25, certified pinned ones after at most 20,
+#: and the slowest point after 25 (89 with no point certified).
 MAX_ITERATIONS = 500
 
 #: Fraction of the search interval treated as "pinned at the boundary" —
 #: the same margin :func:`repro.core.numerical.numerical_optimum` uses
 #: to reject degenerate optima as infeasible.
 BOUNDARY_MARGIN = 1e-4
+
+#: Relative margin on the "falls" certificate of :func:`_fminbound_batch`,
+#: for the rounding of its terms: h is off by a few ULP of χV^β (< 1e-13 V,
+#: as a finite Pstat keeps −Vth < 710·n·Ut), against _FALL_MARGIN·n·Ut
+#: ≥ 2.6e-11 V; Pdyn/Pstat by that error over n·Ut, ~1e-12 relative.
+_FALL_MARGIN = 1e-9
 
 #: Method tag for operating points this solver produces — the same 1-D
 #: reduction the scalar solver tags, found by the same (vectorized)
@@ -256,12 +264,15 @@ _OBJECTIVE_COLUMNS = (
     "n_ut",
 )
 
-#: The columns :func:`_fminbound_batch` reads: the objective's plus the span.
-_SEARCH_COLUMNS = _OBJECTIVE_COLUMNS + ("vdd_lo", "vdd_hi")
+
+def _gather(task: BatchNumericalTask, keep: np.ndarray) -> BatchNumericalTask:
+    """``task`` with the objective's columns gathered down to ``keep``."""
+    columns = {name: getattr(task, name)[keep] for name in _OBJECTIVE_COLUMNS}
+    return replace(task, **columns)
 
 
 def _fminbound_batch(
-    task: BatchNumericalTask, xatol: float = XATOL, maxiter: int = MAX_ITERATIONS
+    task: BatchNumericalTask, lo_eligible: np.ndarray, hi_eligible: np.ndarray
 ) -> np.ndarray:
     """Vectorized port of scipy's ``_minimize_scalar_bounded``.
 
@@ -274,28 +285,68 @@ def _fminbound_batch(
     the objective runs exactly as often as scipy's would, and every
     point's trajectory — and therefore the returned ``xf`` — is
     bit-identical to the scalar search.
+
+    Before every step, a slot whose bracket [a, b] still touches an end
+    of the span that ``lo_eligible``/``hi_eligible`` allow is tested for
+    total power that provably rises on [lo, b] or falls on [a, hi].  A
+    certified slot is written out as exactly ``lo`` or ``hi``, a value
+    the search itself never returns, and dropped with the converged ones.
     """
-    n = task.size
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    lo, hi = task.vdd_lo, task.vdd_hi
+    result = np.empty(task.size)
+    slot = np.arange(task.size)  # original index of each array position
 
-    a = task.vdd_lo.astype(float, copy=True)
-    b = task.vdd_hi.astype(float, copy=True)
+    # The certificates.  With h(V) = V − χβV^β, along the constraint
+    # dPdyn/dV = 2·Pdyn/V and dPstat/dV = Pstat·(n·Ut − h)/(V·n·Ut); for
+    # β ≤ 1, h(V)/V never falls.  "Rises" (a == lo): h(b) ≤ n·Ut bounds
+    # h ≤ max(0, h(b)) ≤ n·Ut on (0, b], so Ptot rises there.  "Falls"
+    # (b == hi): h ≥ h(a) on [a, hi], so R = Pstat/Pdyn, with d ln R/dV =
+    # −(n·Ut + h)/(V·n·Ut), falls, and h(a) > h_fall = n·Ut·(1 + 2/R(hi))
+    # gives R·(h − n·Ut) > 2·n·Ut: Ptot falls on [a, hi].  Either needs
+    # Ptot finite at the far end, which then bounds the bracket.  Why the
+    # search must then stop pinned at lo (hi): while its stop test fails,
+    # each trial point lies strictly inside (a, b) (a golden step moves
+    # 0.382 of the larger side, which exceeds 2·tol1; a parabolic one is
+    # kept inside, and moved tol1 toward the middle when within tol2 of
+    # an edge).  So on a monotone bracket that end never moves, and the
+    # search stops within 2·tol1 of it, far before MAX_ITERATIONS.  The
+    # caller makes an end eligible only where every value that close
+    # prints as the end, inside the pinned margin.  As a only rises and b
+    # only falls, a slot off both ends stays off.
+    pinnable = task.inv_alpha <= 1.0
+    lo_end = np.where(lo_eligible & pinnable, lo, np.nan)
+    hi_end = np.where(hi_eligible & pinnable, hi, np.nan)
+    certifying = bool(np.isfinite(lo_end).any() or np.isfinite(hi_end).any())
+    if certifying:
+        vth, pdyn, pstat, ptot = _power_split(task, hi)
+        h, finite = hi - task.inv_alpha * (hi - vth), np.isfinite(ptot)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h_fall = (1.0 + _FALL_MARGIN) * task.n_ut * (1.0 + 2.0 * pdyn / pstat)
+        h_fall[~finite] = np.inf
+        hi_end[~(h > h_fall)] = np.nan  # then h(a) ≤ max(0, h(hi)) ≤ h_fall
+        # Iteration 0 (a == lo, b == hi), before the first evaluation: an
+        # eligible span is far wider than 4·tol1, so its row would search.
+        # "Falls" waits for the first step.
+        rises = np.isfinite(lo_end) & finite & (h <= task.n_ut)
+        result[rises] = lo[rises]
+        slot = np.flatnonzero(~rises)
+        task = _gather(task, slot)
+
+    a, b = lo[slot], hi[slot]
     fulc = a + golden_mean * (b - a)
     nfc = fulc.copy()
     xf = fulc.copy()
-    rat = np.zeros(n)
-    e = np.zeros(n)
+    rat = np.zeros(slot.size)
+    e = np.zeros(slot.size)
     fx = _objective(task, xf)
     num = 1
     ffulc = fx.copy()
     fnfc = fx.copy()
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * np.abs(xf) + XATOL / 3.0
     tol2 = 2.0 * tol1
-
-    result = np.empty(n)
-    slot = np.arange(n)  # original index of each array position
     with np.errstate(invalid="ignore"):
         searching = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
     while searching.any():
@@ -309,10 +360,7 @@ def _fminbound_batch(
                     a, b, fulc, nfc, xf, rat, e, fx, ffulc, fnfc, xm, tol1, tol2
                 )
             )
-            task = replace(
-                task,
-                **{name: getattr(task, name)[keep] for name in _OBJECTIVE_COLUMNS},
-            )
+            task = _gather(task, keep)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             use_parabola = np.abs(e) > tol1
             r = (xf - nfc) * (fx - ffulc)
@@ -375,33 +423,28 @@ def _fminbound_batch(
             fx = np.where(improved, fu, fx)
 
             xm = 0.5 * (a + b)
-            tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+            tol1 = sqrt_eps * np.abs(xf) + XATOL / 3.0
             tol2 = 2.0 * tol1
             searching = (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))) & (
-                num < maxiter
+                num < MAX_ITERATIONS
             )
+        if certifying:
+            at_lo = a == lo_end[slot]
+            ends = np.flatnonzero(searching & (at_lo | (b == hi_end[slot])))
+            certifying = ends.size > 0
+        if certifying:  # each slot is tested at the far end of its bracket
+            at_lo, rows = at_lo[ends], slot[ends]
+            near = _gather(task, ends)
+            far = np.where(at_lo, b[ends], a[ends])
+            vth, _, _, ptot = _power_split(near, far)
+            h = far - near.inv_alpha * (far - vth)
+            proven = np.isfinite(ptot) & np.where(
+                at_lo, h <= near.n_ut, h > h_fall[rows]
+            )
+            xf[ends[proven]] = np.where(at_lo, lo[rows], hi[rows])[proven]
+            searching[ends[proven]] = False
     result[slot] = xf
     return result
-
-
-def _power_rises(task: BatchNumericalTask) -> np.ndarray:
-    """Rows whose total power provably rises across the whole Vdd span.
-
-    Along the exact constraint ``d ln Pstat/dV = (n·Ut − h(V)) / (V·n·Ut)``
-    with ``h(V) = V − χβV^β``, ``β = 1/α``, and ``Pdyn ∝ V²`` always
-    rises, so Ptot rises wherever ``h ≤ n·Ut``.  For ``β ≤ 1``
-    (``Technology`` keeps ``α`` in [1, 2]) ``h(V)/V`` never falls, so
-    ``h ≤ max(0, h(hi))`` on the whole span: the upper end decides.
-    Rows whose Ptot overflows are left to the search, which no longer
-    follows the curve once its values are infinite.
-    """
-    beta, hi = task.inv_alpha, task.vdd_hi
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            (beta <= 1.0)
-            & (hi - task.chi * beta * hi**beta <= task.n_ut)
-            & np.isfinite(_objective(task, hi))
-        )
 
 
 def _prints_alike(ends: np.ndarray, width: float) -> np.ndarray:
@@ -438,16 +481,13 @@ def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
     lo, hi = task.vdd_lo, task.vdd_hi
     interval = hi - lo
     # The search stops once its bracket [a, b] is at most 4·tol1 wide, with
-    # tol1 = √ε·|Vdd| + XATOL/3.  On a rising curve a stays at lo, so the
-    # search stops within ``width`` of lo, inside the pinned margin.
+    # tol1 = √ε·|Vdd| + XATOL/3.  Where it ends pinned at lo (hi), it
+    # stops within ``width`` of that end: inside the pinned margin, and
+    # printed as the end where ``_prints_alike`` holds.
     width = 4.0 * (math.sqrt(2.2e-16) * float(np.max(hi)) + XATOL / 3.0)
     lo_alike, hi_alike = _prints_alike(lo, width), _prints_alike(hi, -width)
-    certified = _power_rises(task) & lo_alike & (width < BOUNDARY_MARGIN * interval)
-    search = np.flatnonzero(~certified)
-    vdd = lo.copy()
-    vdd[search] = _fminbound_batch(
-        replace(task, **{c: getattr(task, c)[search] for c in _SEARCH_COLUMNS})
-    )
+    pinned_inside = width < BOUNDARY_MARGIN * interval
+    vdd = _fminbound_batch(task, lo_alike & pinned_inside, hi_alike & pinned_inside)
     # The scalar solver treats a boundary-pinned minimiser as
     # infeasibility (the bounded search cannot certify an optimum there).
     with np.errstate(invalid="ignore"):

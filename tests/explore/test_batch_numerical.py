@@ -1,6 +1,8 @@
 """The vectorized exact-numerical solver vs the scipy scalar reference."""
 
+import collections
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from repro.core.constants import EULER, thermal_voltage
 from repro.core.numerical import DEFAULT_VDD_SPAN
 from repro.core.technology import flavour
+from repro.explore import engine
+from repro.explore.columnar import expand_columns
 from repro.explore.engine import evaluate_points
 from repro.explore.executor import solve_point
 from repro.explore.scenario import (
@@ -32,9 +36,10 @@ def _reference(point):
 
 
 def _search_every_row(task):
-    """``solve_batch`` without the certificate: the bounded search on
+    """``solve_batch`` without the certificates: the bounded search on
     every row, a per-row reason and the power split at the result."""
-    vdd = batch_numerical._fminbound_batch(task)
+    neither_end = np.zeros(task.size, dtype=bool)
+    vdd = batch_numerical._fminbound_batch(task, neither_end, neither_end)
     interval = task.vdd_hi - task.vdd_lo
     pinned = (vdd - task.vdd_lo < BOUNDARY_MARGIN * interval) | (
         task.vdd_hi - vdd < BOUNDARY_MARGIN * interval
@@ -69,17 +74,28 @@ def _assert_same_as_search(solution, task):
 
 
 @pytest.fixture
-def searched_sizes(monkeypatch):
-    """The size of every task :func:`_fminbound_batch` is handed."""
-    sizes = []
+def search_results(monkeypatch):
+    """``(task, result)`` of every :func:`_fminbound_batch` call, in order."""
+    calls = []
     search = batch_numerical._fminbound_batch
 
-    def recording_search(task, *args, **kwargs):
-        sizes.append(task.size)
-        return search(task, *args, **kwargs)
+    def recording_search(task, *args):
+        calls.append((task, search(task, *args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(batch_numerical, "_fminbound_batch", recording_search)
-    return sizes
+    return calls
+
+
+def _certified(task, result):
+    """Rows certified at (lo, hi): the search writes them out as exactly
+    that end, a value it never stops at itself."""
+    return result == task.vdd_lo, result == task.vdd_hi
+
+
+def _slope_at(task, vdd):
+    """h(V) = V − χβV^β, whose excess over n·Ut sets d ln Pstat/dV."""
+    return vdd - task.chi * task.inv_alpha * vdd**task.inv_alpha
 
 
 def _demo_wallace():
@@ -193,14 +209,12 @@ class TestScalarParity:
 
 class TestWorkCount:
     def test_objective_runs_as_often_as_scipy(
-        self, boundary_grid, monkeypatch, searched_sizes
+        self, boundary_grid, monkeypatch, search_results
     ):
-        """Certified rows are not searched.  The rest leave the batch
-        search as they converge, so beyond one overflow-guard evaluation
-        per row the objective runs on exactly the slots the scalar
-        searches of the searched rows evaluate (the sum of their scipy
-        ``nfev``), not the slowest point's count times the number of
-        points."""
+        """Rows leave the batch search as they converge, so the objective
+        runs on each row exactly as often as the scalar search of that
+        row (its scipy ``nfev``), not the slowest row's count.  A row
+        certified at an end of the span leaves earlier, never later."""
         from scipy import optimize
 
         nfev = []
@@ -214,24 +228,24 @@ class TestWorkCount:
         monkeypatch.setattr(optimize, "minimize_scalar", recording_minimize_scalar)
         for point in boundary_grid:
             _reference(point)
-        certified = batch_numerical._power_rises(task_for_points(boundary_grid))
-        assert certified.any()
-        searched_nfev = sum(
-            count for count, skipped in zip(nfev, certified) if not skipped
-        )
 
-        batch_evaluations = 0
+        evaluations = collections.Counter()
         objective = batch_numerical._objective
 
         def counting_objective(task, vdd):
-            nonlocal batch_evaluations
-            batch_evaluations += vdd.size
+            evaluations.update(task.chi.tolist())  # χ tells the rows apart
             return objective(task, vdd)
 
         monkeypatch.setattr(batch_numerical, "_objective", counting_objective)
         solve_points(boundary_grid)
-        assert searched_sizes == [len(boundary_grid) - int(certified.sum())]
-        assert batch_evaluations == len(boundary_grid) + searched_nfev
+        ((task, result),) = search_results
+        assert len(set(task.chi.tolist())) == task.size
+        cost = np.array([evaluations[chi] for chi in task.chi.tolist()])
+        at_lo, at_hi = _certified(task, result)
+        assert at_lo.any() and at_hi.any()
+        certified = at_lo | at_hi
+        assert np.array_equal(cost[~certified], np.array(nfev)[~certified])
+        assert (cost[certified] <= np.array(nfev)[certified]).all()
 
 
 def _random_task(rows: int, seed: int) -> BatchNumericalTask:
@@ -276,56 +290,127 @@ def _random_task(rows: int, seed: int) -> BatchNumericalTask:
     )
 
 
-class TestRisingPowerCertificate:
-    """Rows whose power provably rises across the span skip the search;
-    the output must stay exactly what searching every row gives."""
+class TestPinnedEndCertificates:
+    """Rows whose power provably rises from lo, or falls to hi, across the
+    search's live bracket stop searching; the output must stay exactly
+    what searching every row gives."""
 
-    def test_random_rows_match_searching_every_row(self, searched_sizes):
-        task = _random_task(24_000, seed=20261018)
-        rises = batch_numerical._power_rises(task)
+    @pytest.mark.parametrize("seed", [20261018, 20261019, 20261020])
+    def test_random_rows_match_searching_every_row(self, seed, search_results):
+        task = _random_task(24_000, seed=seed)
         solution = solve_batch(task)
         _assert_same_as_search(solution, task)
-        assert not (rises & solution.feasible).any()
-        # The certificate needs α ≥ 1: a hand-built task outside it is not certified.
-        outside = dataclasses.replace(task, inv_alpha=task.inv_alpha * 2.5)
-        assert not batch_numerical._power_rises(outside).any()
-        # Not vacuous: thousands of rows are certified, at both ends of
-        # α's range too, and thousands more are searched and feasible.
-        assert searched_sizes[0] <= task.size - 2_000
+        at_lo, at_hi = _certified(*search_results[0])
+        # Not vacuous: thousands of rows are certified at lo, thousands of
+        # them only on a live bracket (power does not rise on the whole
+        # span), hundreds at hi, at both ends of α's range each; and
+        # thousands more are searched and feasible.
+        whole_span = (_slope_at(task, task.vdd_hi) <= task.n_ut) & np.isfinite(
+            batch_numerical._objective(task, task.vdd_hi)
+        )
+        assert at_lo.sum() >= 5_000 and (at_lo & ~whole_span).sum() >= 2_000
+        assert at_hi.sum() >= 500
         for alpha_end in (1.0, 0.5):
-            assert (rises & (task.inv_alpha == alpha_end)).sum() >= 100
+            assert (at_lo & (task.inv_alpha == alpha_end)).sum() >= 100
+            assert (at_hi & (task.inv_alpha == alpha_end)).sum() >= 5
         assert solution.feasible.sum() >= 2_000
+        # The certificates need α ≥ 1: outside it nothing is certified.
+        outside = _random_task(2_000, seed=seed)
+        outside = dataclasses.replace(outside, inv_alpha=outside.inv_alpha * 2.5)
+        both_ends = np.ones(outside.size, dtype=bool)
+        result = batch_numerical._fminbound_batch(outside, both_ends, both_ends)
+        assert not np.logical_or(*_certified(outside, result)).any()
 
-    def test_negative_vth_interior_optimum_is_searched(self):
+    def test_negative_vth_interior_optimum_is_searched(self, search_results):
         """Vth < 0 across the whole span, yet an interior optimum."""
         arch = dataclasses.replace(_demo_wallace(), io_factor=1e-3)
         point = DesignPoint(arch, flavour("LL"), 1.4e9)
-        assert not batch_numerical._power_rises(task_for_points([point]))[0]
         solution = solve_points([point])
+        assert not np.logical_or(*_certified(*search_results[0]))[0]
         assert bool(solution.feasible[0])
         assert f"{solution.vdd[0]:.4f}" == "2.0632"
         assert solution.vdd[0] == _reference(point)[0].point.vdd
 
-    def test_overflowing_row_is_searched(self, searched_sizes):
+    def test_overflowing_row_is_searched(self, search_results):
         """h(hi) ≤ n·Ut, but Ptot(hi) overflows to inf."""
         task = task_for_points([DesignPoint(_demo_wallace(), flavour("LL"), 1e12)])
-        beta, hi = task.inv_alpha, task.vdd_hi
-        assert (hi - task.chi * beta * hi**beta <= task.n_ut)[0]
+        assert (_slope_at(task, task.vdd_hi) <= task.n_ut)[0]
         assert np.isinf(batch_numerical._objective(task, task.vdd_hi))[0]
-        assert not batch_numerical._power_rises(task)[0]
         _assert_same_as_search(solve_batch(task), task)
-        assert searched_sizes[0] == 1
+        assert not np.logical_or(*_certified(*search_results[0]))[0]
 
-    def test_lower_end_on_a_rounding_boundary_is_searched(self, searched_sizes):
+    def test_lower_end_on_a_rounding_boundary_is_searched(self, search_results):
         """lo = 0.05005 prints 0.0500, but the search stops just above it."""
         tech = dataclasses.replace(flavour("LL"), vdd_nominal=1.001)
         task = task_for_points([DesignPoint(_demo_wallace(), tech, 1e10)])
-        assert batch_numerical._power_rises(task)[0]
+        assert (_slope_at(task, task.vdd_hi) <= task.n_ut)[0]
         assert f"{task.vdd_lo[0]:.4f}" != f"{task.vdd_lo[0] + 1e-6:.4f}"
         solution = solve_batch(task)
         _assert_same_as_search(solution, task)
-        assert searched_sizes[0] == 1
+        assert not np.logical_or(*_certified(*search_results[0]))[0]
         assert "Vdd=0.0501 V" in solution.reason[0]
+
+    def test_falling_row_overflowing_inside_the_span_is_searched(
+        self, search_results
+    ):
+        """Ptot falls toward hi and is finite there, but overflows at every
+        point the search tries, so "falls" never holds on a finite Ptot(a)."""
+        task = task_for_points([DesignPoint(_demo_wallace(), flavour("LL"), 1.4e9)])
+        hi = task.vdd_hi
+        pstat = batch_numerical._power_split(task, hi)[2]
+        task = dataclasses.replace(
+            task, io_power=task.io_power * (sys.float_info.max * (1 - 1e-7) / pstat)
+        )
+        assert np.isfinite(batch_numerical._objective(task, hi))[0]
+        assert np.isinf(batch_numerical._objective(task, hi - 1e-7))[0]
+        # h(a) − n·Ut far above 2·n·Ut·Pdyn/Pstat(hi), which is ~1e-300.
+        assert (_slope_at(task, hi - 0.5) > 2.0 * task.n_ut)[0]
+        solution = solve_batch(task)
+        _assert_same_as_search(solution, task)
+        assert not np.logical_or(*_certified(*search_results[0]))[0]
+        assert "Vdd=2.4000 V" in solution.reason[0]
+
+    def test_upper_end_on_a_rounding_boundary_is_searched(self, search_results):
+        """hi = 2.40005004 prints 2.4001, but the search stops just below
+        2.40005.  The row is certified once hi is made eligible."""
+        (rca,) = (a for a in demo_scenario().architectures if a.name == "RCA16")
+        tech = dataclasses.replace(flavour("ULL"), vdd_nominal=1.20002502)
+        task = task_for_points([DesignPoint(rca, tech, 2.409e8)])
+        assert f"{task.vdd_hi[0]:.4f}" != f"{task.vdd_hi[0] - 1e-6:.4f}"
+        solution = solve_batch(task)
+        _assert_same_as_search(solution, task)
+        assert not np.logical_or(*_certified(*search_results[0]))[0]
+        assert "Vdd=2.4000 V" in solution.reason[0]
+        both_ends = np.ones(1, dtype=bool)
+        result = batch_numerical._fminbound_batch(task, both_ends, both_ends)
+        assert _certified(task, result)[1][0]
+
+
+class TestCanonicalSweep:
+    def test_mixed_sweep_matches_searching_every_row(self, monkeypatch):
+        """Every fallback row of the benchmarks' 100,800-point mixed sweep
+        (``mixed_scenario()`` of ``benchmarks/bench_columnar.py``) is bit-
+        and byte-equal to searching it; both sides run on this machine."""
+        base = demo_scenario()
+        scenario = Scenario(
+            name="bench-columnar",
+            architectures=base.architectures,
+            technologies=base.technologies,
+            frequencies=FrequencyGrid.logspace(2e6, 1.5e9, 4200),
+            transform_chains=base.transform_chains,
+        )
+        calls = []
+        solve = batch_numerical.solve_batch
+
+        def recording_solve(task):
+            calls.append((task, solve(task)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(batch_numerical, "solve_batch", recording_solve)
+        engine._evaluate_columns(expand_columns(scenario), "auto", parity_check=False)
+        ((task, solution),) = calls
+        assert task.size == 36_231
+        _assert_same_as_search(solution, task)
 
 
 class TestTaskPlumbing:

@@ -26,21 +26,28 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 
+import numpy as np
 from conftest import smoke_mode
 
+from repro.core.optimum import OperatingPoint, OptimizationResult
+from repro.core.technology import Technology
 from repro.explore.engine import (
     EvaluationStats,
     FALLBACK_METHOD,
-    PointOutcome,
+    VECTORIZED_METHOD,
     PointResult,
-    _group_indices_by_technology,
-    _vectorized_outcome,
     evaluate_table,
 )
 from repro.explore.executor import run_numerical
-from repro.explore.scenario import FrequencyGrid, Scenario, demo_scenario
-from repro.explore.vectorized import batch_arrays_for_points, closed_form_batch
+from repro.explore.scenario import (
+    DesignPoint,
+    FrequencyGrid,
+    Scenario,
+    demo_scenario,
+)
+from repro.explore.vectorized import closed_form_batch
 
 #: Acceptance floor for the end-to-end columnar speedup.
 SPEEDUP_FLOOR = 10.0
@@ -66,6 +73,97 @@ def mixed_scenario() -> Scenario:
         frequencies=FrequencyGrid.logspace(2e6, 1.5e9, frequency_points),
         transform_chains=base.transform_chains,
     )
+
+
+# -- the pre-columnar object path, kept here as the baseline ------------------
+# Copied verbatim from the 1.10.0 engine (repro.explore.engine and
+# repro.explore.vectorized), which no longer has a per-point object path.
+
+
+@dataclass(frozen=True)
+class PointOutcome:
+    """Evaluation outcome for one design point."""
+
+    point: DesignPoint
+    result: OptimizationResult | None
+    reason: str = ""
+    method: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return self.result is not None
+
+
+def point_result_from_outcome(outcome: PointOutcome) -> PointResult:
+    point = outcome.point
+    arch = point.architecture
+    common = dict(
+        architecture=arch.name,
+        technology=point.technology.name,
+        frequency=point.frequency,
+        n_cells=arch.n_cells,
+        activity=arch.activity,
+        logical_depth=arch.logical_depth,
+        capacitance=arch.capacitance,
+        area=arch.area,
+        method=outcome.method,
+        reason=outcome.reason,
+    )
+    if outcome.result is None:
+        return PointResult(feasible=False, **common)
+    op = outcome.result.point
+    return PointResult(
+        feasible=True,
+        vdd=op.vdd,
+        vth=op.vth,
+        pdyn=op.pdyn,
+        pstat=op.pstat,
+        ptot=op.ptot,
+        **common,
+    )
+
+
+def _group_indices_by_technology(
+    points: list[DesignPoint],
+) -> dict[Technology, list[int]]:
+    groups: dict[Technology, list[int]] = {}
+    for index, point in enumerate(points):
+        groups.setdefault(point.technology, []).append(index)
+    return groups
+
+
+def _vectorized_outcome(point: DesignPoint, batch, position: int) -> PointOutcome:
+    operating_point = OperatingPoint(
+        vdd=float(batch.vdd[position]),
+        vth=float(batch.vth[position]),
+        pdyn=float(batch.pdyn[position]),
+        pstat=float(batch.pstat[position]),
+        method=VECTORIZED_METHOD,
+    )
+    result = OptimizationResult(
+        architecture=point.architecture,
+        technology=point.technology,
+        frequency=point.frequency,
+        point=operating_point,
+    )
+    return PointOutcome(
+        point=point, result=result, method=VECTORIZED_METHOD
+    )
+
+
+def batch_arrays_for_points(points) -> dict[str, np.ndarray]:
+    """Column arrays for a list of :class:`~.scenario.DesignPoint`."""
+    return {
+        "n_cells": np.array([p.architecture.n_cells for p in points]),
+        "activity": np.array([p.architecture.activity for p in points]),
+        "logical_depth": np.array(
+            [p.architecture.logical_depth for p in points]
+        ),
+        "capacitance": np.array([p.architecture.capacitance for p in points]),
+        "frequency": np.array([p.frequency for p in points]),
+        "io_factor": np.array([p.architecture.io_factor for p in points]),
+        "zeta_factor": np.array([p.architecture.zeta_factor for p in points]),
+    }
 
 
 def legacy_evaluate(points) -> list[PointResult]:
@@ -95,7 +193,7 @@ def legacy_evaluate(points) -> list[PointResult]:
             reason=reason,
             method=FALLBACK_METHOD,
         )
-    return [PointResult.from_outcome(outcome) for outcome in outcomes]
+    return [point_result_from_outcome(outcome) for outcome in outcomes]
 
 
 def test_columnar_end_to_end_speedup(save_artifact, record_benchmark):

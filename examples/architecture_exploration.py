@@ -13,11 +13,11 @@ import numpy as np
 from repro import (
     ST_CMOS09_LL,
     ArchitectureParameters,
+    Study,
     crossover_frequency,
     frequency_sweep,
     parallelize,
     pipeline,
-    rank_architectures,
     sequentialize,
 )
 
@@ -48,17 +48,24 @@ def main() -> None:
     ]
 
     print(f"Design space around the RCA multiplier at {FREQUENCY / 1e6:g} MHz\n")
-    ranked = rank_architectures(candidates, ST_CMOS09_LL, FREQUENCY)
-    for position, candidate in enumerate(ranked, start=1):
-        arch = candidate.architecture
-        if candidate.feasible:
+    ranked = (
+        Study("architecture-exploration")
+        .architectures(*candidates)
+        .technologies(ST_CMOS09_LL)
+        .frequencies(FREQUENCY)
+        .solver("numerical")
+        .run()
+        .rank()
+    )
+    for position, record in enumerate(ranked, start=1):
+        if record.feasible:
             print(
-                f"{position}. {arch.name:14s} Ptot = {candidate.ptot * 1e6:8.2f} uW   "
-                f"(N={arch.n_cells:.0f}, a={arch.activity:.3f}, "
-                f"LD={arch.logical_depth:.1f})"
+                f"{position}. {record.architecture:14s} Ptot = {record.ptot * 1e6:8.2f} uW   "
+                f"(N={record.n_cells:.0f}, a={record.activity:.3f}, "
+                f"LD={record.logical_depth:.1f})"
             )
         else:
-            print(f"{position}. {arch.name:14s} infeasible: {candidate.reason}")
+            print(f"{position}. {record.architecture:14s} infeasible: {record.reason}")
 
     # Section 4's frequency argument: sequential only pays off when the
     # clock is slow.  Sweep and locate the basic-vs-parallel crossover.

@@ -35,15 +35,14 @@ Swap ``.solver("numerical")`` for the exact scipy reference,
 ``.frequency_range(2e6, 64e6, 42)`` + ``.transforms(...)`` +
 ``.cached()`` for a thousand-candidate cached sweep — same four lines.
 The scalar entry points (``numerical_optimum``, ``closed_form_optimum``,
-``evaluate_candidates``, …) remain available for paper-fidelity work and
-as the numerics underneath the solvers.
+``bounded_optimum``, …) remain available for paper-fidelity work and as
+the numerics underneath the solvers.
 
 Sub-packages
 ------------
 ``repro.core``
     The paper's analytical model (Eqs. 1–13), numerical reference
-    optimiser, architecture transforms, selection shims and sensitivity
-    tools.
+    optimiser, architecture transforms and sensitivity tools.
 ``repro.catalog``
     The unified model catalog: five namespaces (technology,
     architecture, solver, transform, generator) behind one registry API
@@ -52,11 +51,13 @@ Sub-packages
 ``repro.solvers``
     The :class:`Solver` protocol and registry unifying the five solve
     paths (closed form, linearized, numerical, vectorized, bounded) plus
-    the ``"auto"`` policy behind one signature.
+    the ``"auto"`` policy behind one signature: candidate-grid columns
+    in, a ``ResultTable`` out.
 ``repro.explore``
-    Design-space exploration engine: declarative scenarios, vectorized
-    Eq. 13 batch evaluation, parallel exact-numerical fallback, result
-    caching and Pareto analysis.
+    Design-space exploration engine: declarative scenarios, the one run
+    path every solver goes through, vectorized Eq. 13 batch evaluation
+    with vectorized exact-numerical fallback, result caching and Pareto
+    analysis.
 ``repro.netlist`` / ``repro.generators``
     Standard-cell library, netlist graphs and structural generators for
     the paper's thirteen 16-bit multipliers.
@@ -74,7 +75,7 @@ from importlib import metadata as _metadata
 
 #: Fallback for source checkouts that were never pip-installed (the
 #: tier-1 ``PYTHONPATH=src`` workflow); keep in sync with pyproject.toml.
-_FALLBACK_VERSION = "1.10.0"
+_FALLBACK_VERSION = "1.11.0"
 
 try:  # installed: the single source of truth is the package metadata
     __version__ = _metadata.version("repro")
@@ -83,7 +84,6 @@ except _metadata.PackageNotFoundError:  # pragma: no cover - env-dependent
 
 from .core import *  # noqa: F401,F403,E402 -- the core namespace is the public API
 from .core import __all__ as _core_all  # noqa: E402
-from .core import _SELECTION_EXPORTS  # noqa: E402
 
 # The model catalog: one registry for technologies, architectures,
 # solvers, transforms and generators, plus the plugin-pack loader.
@@ -121,9 +121,6 @@ from .solvers import (  # noqa: E402
 )
 from .study import Record, ResultSet, Study  # noqa: E402
 
-# NOTE: the deprecated selection shims (_SELECTION_EXPORTS) resolve via
-# __getattr__ but stay out of __all__ on purpose: `from repro import *`
-# must not import the deprecated module (or trip its DeprecationWarning).
 __all__ = list(_core_all) + [
     "ExplorationResult",
     "FrequencyGrid",
@@ -156,11 +153,4 @@ def __getattr__(name: str):
         from .service.client import ServiceClient
 
         return ServiceClient
-    if name in _SELECTION_EXPORTS:
-        # Deprecated selection shims: resolved lazily so the module-
-        # level DeprecationWarning in repro.core.selection fires only
-        # for actual users of the old API.
-        from . import core
-
-        return getattr(core, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

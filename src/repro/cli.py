@@ -32,6 +32,7 @@ from .core.closed_form import ptot_eq13_adaptive
 from .core.optimum import approximation_error_percent
 from .core.technology import flavour
 from .solvers import available_solvers
+from .solvers.batch import ENGINE_SOLVERS
 from .study import Study
 
 
@@ -206,16 +207,6 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-#: How ``explore --method`` names map to solver-registry names (the CLI
-#: keeps its historical vocabulary; ``closed-form`` has always meant the
-#: vectorized batch kernel here).
-_EXPLORE_METHOD_SOLVERS = {
-    "auto": "auto",
-    "closed-form": "vectorized",
-    "numerical": "numerical",
-}
-
-
 def _export_table_npz(result, path: str) -> None:
     """Write a result set to ``path`` as a columnar ``.npz`` archive."""
     table = result._table
@@ -277,7 +268,7 @@ def _cmd_explore(args) -> int:
 
     study = (
         Study.from_scenario(scenario)
-        .solver(_EXPLORE_METHOD_SOLVERS[args.method])
+        .solver(ENGINE_SOLVERS[args.method].name)
         .jobs(args.jobs)
         .cached(args.cache_dir, enabled=not args.no_cache)
     )
@@ -759,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario JSON file; omit to run the built-in demo sweep",
     )
     explore.add_argument(
-        "--method", default="auto", choices=["auto", "closed-form", "numerical"],
+        "--method", default="auto", choices=list(ENGINE_SOLVERS),
         help="auto = vectorized Eq. 13 with exact-numerical fallback",
     )
     explore.add_argument(

@@ -1,4 +1,4 @@
-"""Analytical core: the paper's model, its optimum, and selection tools.
+"""Analytical core: the paper's model, its optimum, and analysis tools.
 
 This package is pure model code (numpy/scipy only, no netlist machinery)
 implementing Sections 2–5 of Schuster et al., DATE 2006.
@@ -76,28 +76,6 @@ from .transforms import (
     pipeline,
     sequentialize,
 )
-
-#: Deprecated selection shims, resolved lazily (PEP 562) so that plain
-#: ``import repro`` stays silent and only actual use of the old
-#: selection API triggers repro.core.selection's DeprecationWarning.
-_SELECTION_EXPORTS = (
-    "Candidate",
-    "best_architecture",
-    "best_technology",
-    "evaluate_candidates",
-    "rank_architectures",
-    "rank_technologies",
-    "selection_matrix",
-)
-
-
-def __getattr__(name: str):
-    if name in _SELECTION_EXPORTS:
-        from . import selection
-
-        return getattr(selection, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ArchitectureParameters",

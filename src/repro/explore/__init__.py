@@ -2,8 +2,7 @@
 
 The paper's Sections 4–5 methodology — evaluate the Eq. 13 closed-form
 optimum for every (architecture, technology, frequency) candidate and
-pick the minimum — is a *batch* problem, but :mod:`repro.core.selection`
-evaluates it one scipy call at a time.  This package turns the
+pick the minimum — is a *batch* problem.  This package turns the
 one-at-a-time optimizer into a batch service:
 
 ``scenario``
@@ -22,9 +21,12 @@ one-at-a-time optimizer into a batch service:
     reference method (one scipy call per point, on purpose); the auto
     fallback is vectorized and no longer touches it.
 ``cache``
-    Content-hash → JSON-on-disk result cache; repeated sweeps are free.
+    Content-hash → binary-column-file result cache; repeated sweeps are
+    free.
 ``engine``
-    Orchestration: expand, vectorize, fall back, cache.
+    Orchestration: the one run path every registry solver goes through
+    (key, cache read, expand, ``solver.solve(columns)``, tally, cache
+    write), and the auto/closed-form/numerical methods behind it.
 ``analysis``
     Pareto frontier over (power, frequency, area-proxy), ranking and a
     tabular report.
@@ -39,9 +41,7 @@ from .columnar import ExpandedColumns, ResultRows, ResultTable, expand_columns
 from .engine import (
     EvaluationStats,
     ExplorationResult,
-    PointOutcome,
     PointResult,
-    evaluate_points,
     evaluate_table,
     explore,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "ExpandedColumns",
     "ExplorationResult",
     "FrequencyGrid",
-    "PointOutcome",
     "PointResult",
     "ResultCache",
     "ResultRows",
@@ -76,7 +75,6 @@ __all__ = [
     "closed_form_batch",
     "content_hash",
     "demo_scenario",
-    "evaluate_points",
     "evaluate_table",
     "expand_columns",
     "explore",

@@ -129,9 +129,8 @@ def rank_points(
 ) -> list[PointResult]:
     """Candidates sorted cheapest-first; infeasible ones last.
 
-    Mirrors :func:`repro.core.selection.rank_architectures`' convention
-    (+inf power sorts infeasible candidates to the tail) at design-space
-    scale.  Table-backed inputs rank by column argsort (stable, so tie
+    +inf power sorts infeasible candidates to the tail, each with its
+    reason.  Table-backed inputs rank by column argsort (stable, so tie
     order matches the historical sort) and materialise rows in ranked
     order; plain lists sort as before.
     """

@@ -1,11 +1,9 @@
 """Structure-of-arrays results: the columnar spine of the explore engine.
 
-A 100k-point sweep through the object pipeline pays for every point
-three times: a :class:`~.scenario.DesignPoint` on expansion, a
-``PointOutcome`` after evaluation and a ``PointResult`` for analysis and
-serialisation — none of which do arithmetic.  :class:`ResultTable` keeps
+Per-point objects do no arithmetic, yet a 100k-point sweep built from
+them pays for one per point at every stage.  :class:`ResultTable` keeps
 the whole evaluated sweep as one numpy array per ``PointResult`` column
-instead, so the engine, the Pareto ranking, the cache payload and the
+instead, so every solver, the Pareto ranking, the cache payload and the
 NDJSON stream all operate on contiguous arrays, and per-row objects are
 materialised only when a caller actually indexes one
 (:class:`ResultRows` is the lazy, list-compatible view).
@@ -28,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +35,8 @@ from ..core.technology import Technology
 from .scenario import DesignPoint, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import PointOutcome, PointResult
+    from ..core.optimum import OptimizationResult
+    from .engine import PointResult
 
 __all__ = [
     "ExpandedColumns",
@@ -275,9 +274,48 @@ class ResultTable:
         return cls(columns)
 
     @classmethod
-    def from_outcomes(cls, outcomes: Sequence["PointOutcome"]) -> "ResultTable":
-        record = _record_cls()
-        return cls.from_records([record.from_outcome(o) for o in outcomes])
+    def from_solutions(
+        cls,
+        columns: "ExpandedColumns",
+        solutions: Iterable[tuple["OptimizationResult | None", str]],
+        method: str,
+    ) -> "ResultTable":
+        """One row per ``(result | None, reason)`` pair, aligned with ``columns``.
+
+        The table of a per-point solver: a ``None`` result is an
+        infeasible row carrying ``reason``; every row is tagged
+        ``method``.
+        """
+        n = columns.n
+        values = np.full((len(OPTIONAL_FLOAT_COLUMNS), n), np.nan)
+        feasible = np.zeros(n, dtype=bool)
+        reason = np.empty(n, dtype=object)
+        for index, (result, text) in enumerate(solutions):
+            reason[index] = text
+            if result is not None:
+                point = result.point
+                values[:, index] = (
+                    point.vdd, point.vth, point.pdyn, point.pstat, point.ptot
+                )
+                feasible[index] = True
+        method_column = np.empty(n, dtype=object)
+        method_column.fill(method)
+        return cls(
+            {
+                "architecture": columns.arch_name,
+                "technology": columns.tech_name,
+                "frequency": columns.frequency,
+                "n_cells": columns.n_cells,
+                "activity": columns.activity,
+                "logical_depth": columns.logical_depth,
+                "capacitance": columns.capacitance,
+                "area": columns.area,
+                "feasible": feasible,
+                "method": method_column,
+                "reason": reason,
+                **dict(zip(OPTIONAL_FLOAT_COLUMNS, values)),
+            }
+        )
 
     @classmethod
     def from_payload_columns(cls, payload: Mapping[str, Any]) -> "ResultTable":
@@ -469,7 +507,7 @@ class ExpandedColumns:
         return len(self.frequency)
 
     def design_point(self, index: int) -> DesignPoint:
-        """Materialise one candidate as an object (parity checks, rescue)."""
+        """Materialise one candidate as an object (parity checks, per-point solvers)."""
         return DesignPoint(
             architecture=self.architectures[int(self.arch_index[index])],
             technology=self.technologies[int(self.tech_index[index])],

@@ -1,30 +1,29 @@
 """Orchestration: expand a scenario, vectorize, fall back, cache.
 
-The batch core is columnar end to end: :func:`explore` expands a
-scenario straight to column arrays (:func:`~.columnar.expand_columns`),
-runs the vectorized Eq. 9–13 kernel per technology group, solves every
-flagged point with the vectorized exact-numerical solver
+The batch core is columnar end to end: a scenario expands straight to
+column arrays (:func:`~.columnar.expand_columns`), the vectorized
+Eq. 9–13 kernel runs per technology group, every flagged point is
+solved by the vectorized exact-numerical solver
 (:mod:`repro.solvers.batch_numerical` — a lockstep port of the bounded
 scipy search, bit-identical results without per-point scipy calls), and
-assembles the outcome by array masking into a
+the outcome is assembled by array masking into a
 :class:`~.columnar.ResultTable`.  Per-row ``PointResult`` objects are
-lazy views, materialised only when a caller indexes one.
-
-:func:`evaluate_points` keeps the historical object contract — a list
-of :class:`PointOutcome` aligned with the input ``DesignPoint`` list —
-for the solver registry and direct callers; its fallback rides the same
-vectorized solver.  The multiprocessing pool survives exclusively
-behind ``method="numerical"``, the reference path that runs scipy on
-every point on purpose.
+lazy views, materialised only when a caller indexes one.  The
+multiprocessing pool survives exclusively behind
+``method="numerical"``, the reference path that runs scipy on every
+point on purpose.
 
 A parity check compares sampled vectorized results against the scalar
-closed form on every run, so a drift between the two implementations
-cannot pass silently.  :func:`explore` wraps the core with the scenario
-spec and the on-disk result cache: hash the sweep definition, return
-the stored result on a hit, evaluate and store the compact columnar
-payload on a miss.  :func:`read_cached` and :func:`write_cached` are
-the cache's failure handling for every solve path: an undecodable entry
-is quarantined and recomputed, a failed write is counted, not raised.
+closed form on every ``auto`` and ``closed-form`` run, so a drift
+between the two implementations cannot pass silently.
+
+:func:`run` is the one run path for every registry solver: key, cache
+read, expand, ``solver.solve(columns)``, tally, cache write, heap
+release.  :func:`explore` is that path for one of the engine's three
+methods, and :class:`~repro.study.Study`, the job manager and the
+service all reach it.  :func:`read_cached` and :func:`write_cached` are
+the cache's failure handling: an undecodable entry is quarantined and
+recomputed, a failed write is counted, not raised.
 """
 
 from __future__ import annotations
@@ -41,18 +40,12 @@ from .. import obs
 from ..resilience import current_deadline, faults
 from ..core.closed_form import closed_form_optimum
 from ..core.numerical import DEFAULT_VDD_SPAN
-from ..core.optimum import OperatingPoint, OptimizationResult
-from ..core.technology import Technology
 from . import executor as executor_module
 from ..service.memcache import TieredCache, as_cache
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
 from .columnar import ExpandedColumns, ResultTable, expand_columns
-from .scenario import DesignPoint, Scenario
-from .vectorized import (
-    batch_arrays_for_columns,
-    batch_arrays_for_points,
-    closed_form_batch,
-)
+from .scenario import Scenario
+from .vectorized import batch_arrays_for_columns, closed_form_batch
 
 #: Method tag on vectorized operating points.
 VECTORIZED_METHOD = "vectorized-closed-form"
@@ -89,25 +82,6 @@ DEADLINE_CHUNK_ROWS = 65536
 #: every free page and the next sweep re-faults them, ~4 % of its time;
 #: on a 12,600-point job that was 7 %, for a few MB, hence the floor.
 RELEASE_HEAP_MIN_ROWS = 65536
-
-
-@dataclass(frozen=True)
-class PointOutcome:
-    """Evaluation outcome for one design point.
-
-    ``result`` is None when the point is infeasible; ``reason`` then
-    explains why (same contract as :class:`repro.core.selection.
-    Candidate`).  ``method`` records which path produced the value.
-    """
-
-    point: DesignPoint
-    result: OptimizationResult | None
-    reason: str = ""
-    method: str = ""
-
-    @property
-    def feasible(self) -> bool:
-        return self.result is not None
 
 
 @dataclass(frozen=True)
@@ -151,35 +125,6 @@ class PointResult:
         area/cell spread across the thirteen multipliers is ~20 %).
         """
         return self.area if self.area > 0.0 else self.n_cells
-
-    @classmethod
-    def from_outcome(cls, outcome: PointOutcome) -> "PointResult":
-        point = outcome.point
-        arch = point.architecture
-        common = dict(
-            architecture=arch.name,
-            technology=point.technology.name,
-            frequency=point.frequency,
-            n_cells=arch.n_cells,
-            activity=arch.activity,
-            logical_depth=arch.logical_depth,
-            capacitance=arch.capacitance,
-            area=arch.area,
-            method=outcome.method,
-            reason=outcome.reason,
-        )
-        if outcome.result is None:
-            return cls(feasible=False, **common)
-        op = outcome.result.point
-        return cls(
-            feasible=True,
-            vdd=op.vdd,
-            vth=op.vth,
-            pdyn=op.pdyn,
-            pstat=op.pstat,
-            ptot=op.ptot,
-            **common,
-        )
 
     # Populated once after the class body: record (de)serialisation is
     # the serving layer's hot path (every response converts thousands of
@@ -244,29 +189,6 @@ class EvaluationStats:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EvaluationStats":
         return cls(**payload)
-
-    @classmethod
-    def from_outcomes(
-        cls,
-        outcomes: Sequence["PointOutcome"],
-        elapsed_seconds: float,
-        phases: Mapping[str, float] | None = None,
-    ) -> "EvaluationStats":
-        """Tally one evaluated batch (shared by ``explore`` and ``Study``)."""
-        return cls(
-            n_candidates=len(outcomes),
-            n_feasible=sum(1 for o in outcomes if o.feasible),
-            n_vectorized=sum(
-                1 for o in outcomes if o.method == VECTORIZED_METHOD
-            ),
-            n_fallback=sum(
-                1
-                for o in outcomes
-                if o.method in (FALLBACK_METHOD, "numerical")
-            ),
-            elapsed_seconds=elapsed_seconds,
-            phases=dict(phases or {}),
-        )
 
     @classmethod
     def from_table(
@@ -346,34 +268,6 @@ class ExplorationResult:
         return "\n".join(lines)
 
 
-def _group_indices_by_technology(
-    points: Sequence[DesignPoint],
-) -> dict[Technology, list[int]]:
-    groups: dict[Technology, list[int]] = {}
-    for index, point in enumerate(points):
-        groups.setdefault(point.technology, []).append(index)
-    return groups
-
-
-def _vectorized_outcome(point: DesignPoint, batch, position: int) -> PointOutcome:
-    operating_point = OperatingPoint(
-        vdd=float(batch.vdd[position]),
-        vth=float(batch.vth[position]),
-        pdyn=float(batch.pdyn[position]),
-        pstat=float(batch.pstat[position]),
-        method=VECTORIZED_METHOD,
-    )
-    result = OptimizationResult(
-        architecture=point.architecture,
-        technology=point.technology,
-        frequency=point.frequency,
-        point=operating_point,
-    )
-    return PointOutcome(
-        point=point, result=result, method=VECTORIZED_METHOD
-    )
-
-
 def _closed_form_reason_values(
     name: str, margin: float, log_argument: float
 ) -> str:
@@ -390,30 +284,19 @@ def _closed_form_reason_values(
     )
 
 
-def _closed_form_reason(point: DesignPoint, batch, position: int) -> str:
-    return _closed_form_reason_values(
-        point.architecture.name,
-        float(batch.margin[position]),
-        float(batch.log_argument[position]),
-    )
-
-
-def _check_parity(points, batch, positions, indices) -> None:
+def _check_parity(columns: ExpandedColumns, batch, positions, indices) -> None:
     """Spot-check vectorized values against the scalar closed form.
 
     ``positions`` index into the batch arrays, ``indices`` into the
-    original point list; both are aligned.  ``points`` may be a list of
-    :class:`DesignPoint` or anything indexable that yields them (the
-    columnar path passes a materialising shim).  Raises ``RuntimeError``
-    on drift — this is an internal-consistency invariant, not user
-    error.
+    expanded grid; both are aligned.  Raises ``RuntimeError`` on drift —
+    this is an internal-consistency invariant, not user error.
     """
     if not len(positions):
         return
     picks = sorted({0, len(positions) // 2, len(positions) - 1})
     for pick in picks[:PARITY_SAMPLES]:
         position, index = positions[pick], indices[pick]
-        point = points[index]
+        point = columns.design_point(index)
         scalar = closed_form_optimum(
             point.architecture, point.technology, point.frequency
         )
@@ -425,22 +308,6 @@ def _check_parity(points, batch, positions, indices) -> None:
                 f"batch Ptot={vector_ptot!r} vs closed form {scalar.ptot!r} "
                 f"(rel. drift {drift:.3e} > {PARITY_RTOL:g})"
             )
-
-
-class _ColumnPoints:
-    """Indexable shim materialising :class:`DesignPoint` on demand.
-
-    Lets the columnar path share :func:`_check_parity` (which touches
-    only the few sampled indices) without expanding the object list.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: ExpandedColumns) -> None:
-        self.columns = columns
-
-    def __getitem__(self, index: int) -> DesignPoint:
-        return self.columns.design_point(index)
 
 
 def _fallback_task(columns: ExpandedColumns, indices: np.ndarray):
@@ -493,22 +360,17 @@ def _fallback_task(columns: ExpandedColumns, indices: np.ndarray):
     )
 
 
-def _evaluate_columns(
-    columns: ExpandedColumns,
-    method: str,
-    parity_check: bool,
-    timer: "obs.PhaseTimer | None" = None,
-) -> ResultTable:
+def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
     """The columnar batch core for ``auto`` and ``closed-form``.
 
     One vectorized kernel call per technology group, one vectorized
     exact-numerical solve for the whole flagged set, results assembled
     by mask assignment into the table's column arrays — no per-point
-    Python objects anywhere on this path.  ``timer`` accumulates the
-    ``kernel`` and ``fallback`` phase durations (and mirrors them as
-    spans when a tracer is active).
+    Python objects anywhere on this path.  The ``kernel`` and
+    ``fallback`` phases go to the caller's open timer, if any
+    (:func:`repro.obs.active_timer`).
     """
-    timer = timer if timer is not None else obs.PhaseTimer("engine")
+    timer = obs.active_timer("engine")
     deadline = current_deadline()
     rows_done = 0
     n = columns.n
@@ -567,13 +429,9 @@ def _evaluate_columns(
                         )
                 else:
                     flagged[part[~trusted]] = True
-                if parity_check:
-                    _check_parity(
-                        _ColumnPoints(columns),
-                        batch,
-                        np.flatnonzero(trusted),
-                        part[trusted],
-                    )
+                _check_parity(
+                    columns, batch, np.flatnonzero(trusted), part[trusted]
+                )
                 rows_done += int(part.size)
 
     if flagged.any():
@@ -620,147 +478,47 @@ def _evaluate_columns(
     )
 
 
-def evaluate_points(
-    points: Sequence[DesignPoint],
-    method: str = "auto",
-    jobs: int | None = None,
-    parity_check: bool = True,
-) -> list[PointOutcome]:
-    """Evaluate every design point; outcomes align with ``points``.
+def _evaluate_numerical(
+    columns: ExpandedColumns, jobs: int | None = None
+) -> ResultTable:
+    """The scipy reference on every row, over the process pool."""
+    points = [columns.design_point(index) for index in range(columns.n)]
+    return ResultTable.from_solutions(
+        columns, executor_module.run_numerical(points, jobs=jobs), "numerical"
+    )
 
-    Methods
-    -------
-    ``"auto"``
-        Vectorized closed form for the trusted interior; vectorized
-        exact-numerical solve for flagged and infeasible points (no
-        scipy calls, no process pool).
-    ``"closed-form"``
-        Vectorized closed form everywhere it is defined; no scipy calls.
-    ``"numerical"``
-        The reference solver for every point — one scipy call each,
-        chunked over the multiprocessing pool.
-    """
-    if method not in EVALUATION_METHODS:
+
+def _engine_solver(method: str):
+    """The registry solver behind one of :data:`EVALUATION_METHODS`."""
+    from ..solvers.batch import ENGINE_SOLVERS
+
+    try:
+        return ENGINE_SOLVERS[method]
+    except KeyError:
         raise ValueError(
             f"unknown method {method!r}; expected one of {EVALUATION_METHODS}"
-        )
-    points = list(points)
-    outcomes: list[PointOutcome | None] = [None] * len(points)
-
-    if method == "numerical":
-        for index, (result, reason) in enumerate(
-            executor_module.run_numerical(points, jobs=jobs)
-        ):
-            outcomes[index] = PointOutcome(
-                point=points[index],
-                result=result,
-                reason=reason,
-                method="numerical",
-            )
-        return outcomes  # type: ignore[return-value]
-
-    fallback_indices: list[int] = []
-    for tech, indices in _group_indices_by_technology(points).items():
-        group = [points[i] for i in indices]
-        batch = closed_form_batch(tech, **batch_arrays_for_points(group))
-        vectorized_positions: list[int] = []
-        vectorized_indices: list[int] = []
-        for position, index in enumerate(indices):
-            trusted = bool(batch.feasible[position]) and not bool(
-                batch.needs_fallback[position]
-            )
-            if trusted or (method == "closed-form" and batch.feasible[position]):
-                outcomes[index] = _vectorized_outcome(
-                    points[index], batch, position
-                )
-                if trusted:
-                    vectorized_positions.append(position)
-                    vectorized_indices.append(index)
-            elif method == "closed-form":
-                outcomes[index] = PointOutcome(
-                    point=points[index],
-                    result=None,
-                    reason=_closed_form_reason(points[index], batch, position),
-                    method=VECTORIZED_METHOD,
-                )
-            else:
-                fallback_indices.append(index)
-        if parity_check:
-            _check_parity(points, batch, vectorized_positions, vectorized_indices)
-
-    if fallback_indices:
-        from ..solvers.batch_numerical import (
-            METHOD as BATCH_METHOD,
-            solve_points,
-        )
-
-        fallback_points = [points[i] for i in fallback_indices]
-        solution = solve_points(fallback_points)
-        for position, index in enumerate(fallback_indices):
-            point = points[index]
-            if solution.feasible[position]:
-                operating_point = OperatingPoint(
-                    vdd=float(solution.vdd[position]),
-                    vth=float(solution.vth[position]),
-                    pdyn=float(solution.pdyn[position]),
-                    pstat=float(solution.pstat[position]),
-                    method=BATCH_METHOD,
-                )
-                result = OptimizationResult(
-                    architecture=point.architecture,
-                    technology=point.technology,
-                    frequency=point.frequency,
-                    point=operating_point,
-                )
-                reason = ""
-            else:
-                result = None
-                reason = solution.reason[position]
-            outcomes[index] = PointOutcome(
-                point=point,
-                result=result,
-                reason=reason,
-                method=FALLBACK_METHOD,
-            )
-    return outcomes  # type: ignore[return-value]
+        ) from None
 
 
 def evaluate_table(
     scenario: Scenario,
     method: str = "auto",
     jobs: int | None = None,
-    parity_check: bool = True,
     timer: "obs.PhaseTimer | None" = None,
 ) -> ResultTable:
-    """Evaluate a scenario straight to a columnar :class:`ResultTable`.
+    """Evaluate a scenario straight to a :class:`ResultTable`, uncached.
 
-    The batch front door: ``auto`` and ``closed-form`` never build a
-    per-point object; ``numerical`` (the scipy-per-point reference)
-    still expands to ``DesignPoint`` objects for the pool and converts
-    once at the end.  Pass an :class:`~repro.obs.PhaseTimer` to collect
-    the per-phase wall-time breakdown (``expand``, ``kernel``,
-    ``fallback``; the numerical path records ``expand``, ``solve``,
-    ``assemble``).
+    ``method`` is ``"auto"``, ``"closed-form"`` or ``"numerical"``.
+    Pass an :class:`~repro.obs.PhaseTimer` to collect the per-phase
+    wall-time breakdown (``expand``, ``solve`` and, for ``auto`` and
+    ``closed-form``, ``kernel`` and ``fallback``).
     """
-    if method not in EVALUATION_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {EVALUATION_METHODS}"
-        )
+    solver = _engine_solver(method)
     timer = timer if timer is not None else obs.PhaseTimer("engine")
-    if method == "numerical":
-        with timer.phase("expand"):
-            points = scenario.expand()
-        with timer.phase("solve"):
-            outcomes = evaluate_points(
-                points, method=method, jobs=jobs, parity_check=parity_check
-            )
-        with timer.phase("assemble"):
-            return ResultTable.from_outcomes(outcomes)
     with timer.phase("expand"):
         columns = expand_columns(scenario)
-    return _evaluate_columns(
-        columns, method=method, parity_check=parity_check, timer=timer
-    )
+    with timer.phase("solve", solver=solver.name):
+        return solver.solve(columns, jobs=jobs)
 
 
 def cache_key_payload(scenario: Scenario) -> dict[str, Any]:
@@ -795,7 +553,7 @@ def flight_key(
 ) -> str:
     """The key of one (scenario, solver, options) request.
 
-    :class:`~repro.study.Study` caches registry-path runs under it, and
+    :func:`run` caches every solver but the engine's three under it, and
     the service and the job manager single-flight under it, so identical
     sweeps submitted as a job and posted to ``/v1/explore`` concurrently
     join one coalescer flight and cost one engine run.
@@ -859,42 +617,40 @@ def _malloc_trim():
     return trim
 
 
-def explore(
+def run(
     scenario: Scenario,
-    method: str = "auto",
+    solver,
+    options: Mapping[str, Any] | None = None,
     jobs: int | None = None,
     cache: TieredCache | ResultCache | str | Path | None = None,
     use_cache: bool = True,
-    parity_check: bool = True,
 ) -> ExplorationResult:
-    """Evaluate a scenario end to end, through the tiered result cache.
+    """Solve a scenario with any registry solver, through the result cache.
 
-    Parameters
-    ----------
-    scenario:
-        The sweep definition.
-    method:
-        ``"auto"`` (default), ``"closed-form"`` or ``"numerical"``.
-    jobs:
-        Worker processes for the ``"numerical"`` reference method (the
-        auto fallback is vectorized and needs none).
-    cache:
-        A :class:`~repro.service.memcache.TieredCache`, a bare
-        :class:`ResultCache`, a directory for one, or None for the
-        default location.  Everything but a ready-made tiered cache
-        gains the process-global in-memory LRU tier, so repeated sweeps
-        within one process (the CLI, a notebook, the service) skip even
-        the disk read.
-    use_cache:
-        When False, neither reads nor writes the cache.
-    parity_check:
-        Forwarded to the evaluation core.
+    The one run path: compute the key, read the cache (a corrupt entry
+    is quarantined and read as a miss), expand the grid, call
+    ``solver.solve(columns, jobs=jobs, **options)``, tally the table,
+    write the cache (a failed write is counted, not raised) and hand a
+    large evaluation's freed heap back to the OS.  The engine's three
+    solvers take no options and key on :func:`_cache_key` of their
+    method, so :func:`explore` and ``Study`` share entries; every other
+    solver keys on :func:`flight_key`.
     """
+    from ..solvers.base import check_options
+    from ..solvers.batch import EngineSolver
+
+    options = dict(options or {})
+    if isinstance(solver, EngineSolver):
+        check_options(solver.name, options, ())
+        method = solver.engine_method
+        key = _cache_key(scenario, method)
+    else:
+        method = solver.name
+        key = flight_key(scenario, method, options)
+    parity_checked = method in ("auto", "closed-form")
     timer = obs.PhaseTimer("engine")
     with obs.span("engine.explore", method=method):
         cache = as_cache(cache)
-        key = _cache_key(scenario, method)
-
         if use_cache:
             with timer.phase("cache_read"):
                 cached = read_cached(cache, key)
@@ -914,10 +670,10 @@ def explore(
                 )
 
         started = time.perf_counter()
-        table = evaluate_table(
-            scenario, method=method, jobs=jobs, parity_check=parity_check,
-            timer=timer,
-        )
+        with timer.phase("expand"):
+            columns = expand_columns(scenario)
+        with timer.phase("solve", solver=solver.name):
+            table = solver.solve(columns, jobs=jobs, **options)
         elapsed = time.perf_counter() - started
 
         with timer.phase("analysis"):
@@ -935,8 +691,7 @@ def explore(
                         "method": method,
                         "scenario": scenario.to_dict(),
                         "stats": stats.to_dict(),
-                        "parity_checked": parity_check
-                        and method != "numerical",
+                        "parity_checked": parity_checked,
                         "columns": table.columns,
                     },
                 )
@@ -958,6 +713,45 @@ def explore(
             cache_hit=False,
             cache_key=key,
             cache_path=cache_path,
-            parity_checked=parity_check and method != "numerical",
+            parity_checked=parity_checked,
             table=table,
         )
+
+
+def explore(
+    scenario: Scenario,
+    method: str = "auto",
+    jobs: int | None = None,
+    cache: TieredCache | ResultCache | str | Path | None = None,
+    use_cache: bool = True,
+) -> ExplorationResult:
+    """Evaluate a scenario end to end, through the tiered result cache.
+
+    :func:`run` with the engine solver of ``method``.
+
+    Parameters
+    ----------
+    scenario:
+        The sweep definition.
+    method:
+        ``"auto"`` (default), ``"closed-form"`` or ``"numerical"``.
+    jobs:
+        Worker processes for the ``"numerical"`` reference method (the
+        auto fallback is vectorized and needs none).
+    cache:
+        A :class:`~repro.service.memcache.TieredCache`, a bare
+        :class:`ResultCache`, a directory for one, or None for the
+        default location.  Everything but a ready-made tiered cache
+        gains the process-global in-memory LRU tier, so repeated sweeps
+        within one process (the CLI, a notebook, the service) skip even
+        the disk read.
+    use_cache:
+        When False, neither reads nor writes the cache.
+    """
+    return run(
+        scenario,
+        _engine_solver(method),
+        jobs=jobs,
+        cache=cache,
+        use_cache=use_cache,
+    )

@@ -1,16 +1,15 @@
 """Parallel execution of exact-numerical evaluations.
 
-The vectorized kernel covers the closed-form interior; the points it
-flags (near the feasibility boundary, near the Vth floor, outside the
-Eq. 7 fit range) and the ``method="numerical"`` path still need one
-scipy ``minimize_scalar`` call each.  This module fans those scalar
-calls out over a ``multiprocessing`` pool with chunking, falling back to
-an in-process loop for small batches (or single-CPU hosts) where pool
-start-up would dominate.
+The ``method="numerical"`` reference runs one scipy ``minimize_scalar``
+call per point on purpose (the ``auto`` fallback is vectorized and never
+comes here).  This module fans those scalar calls out over a
+``multiprocessing`` pool with chunking, falling back to an in-process
+loop for small batches (or single-CPU hosts) where pool start-up would
+dominate.
 
-Every evaluation returns ``(OptimizationResult | None, reason)`` — the
-same "keep infeasible candidates with their reason" contract
-:mod:`repro.core.selection` has always exposed.
+Every evaluation returns ``(OptimizationResult | None, reason)``, the
+pair :meth:`~repro.explore.columnar.ResultTable.from_solutions` turns
+into table rows: infeasible candidates are kept, with their reason.
 """
 
 from __future__ import annotations

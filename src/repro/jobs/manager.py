@@ -47,7 +47,7 @@ from ..explore.engine import (
 from ..explore.scenario import Scenario
 from ..service.coalesce import Coalescer
 from ..service.memcache import TieredCache, as_cache
-from ..solvers import EngineSolver, get_solver
+from ..solvers import EngineSolver, check_options, get_solver
 from ..study import ResultSet, Study
 from .sharder import Shard, merge_stats, merge_tables, shard_scenario
 from .store import JobRecord, JobStore
@@ -195,8 +195,9 @@ class JobManager:
         """Persist a new queued job and wake the dispatcher.
 
         Raises :class:`~repro.solvers.SolverError` on an unknown solver
-        name and ``ValueError`` on a bad shard count — both before
-        anything is persisted, so a rejected submit leaves no record.
+        name or an option the solver does not take, and ``ValueError``
+        on a bad shard count — all before anything is persisted, so a
+        rejected submit leaves no record.
 
         With an ``idempotency_key``, resubmitting the same key returns
         the already-known job instead of creating (and running) a
@@ -215,11 +216,11 @@ class JobManager:
         options = dict(options or {})
         solver_obj = get_solver(solver)
         solver = solver_obj.name
-        planned = (
-            len(shard_scenario(scenario, shards))
-            if isinstance(solver_obj, EngineSolver) and not options
-            else 1
-        )
+        if isinstance(solver_obj, EngineSolver):
+            check_options(solver, options, ())
+            planned = len(shard_scenario(scenario, shards))
+        else:
+            planned = 1
         # Capture the submitting thread's trace context (the server's
         # request handler activates one per traced request), so the
         # job's spans — run later, on other threads — stitch under the
@@ -424,7 +425,7 @@ class JobManager:
         cancel: threading.Event,
     ) -> ResultSet:
         solver_obj = get_solver(record.solver)
-        if isinstance(solver_obj, EngineSolver) and not record.options:
+        if isinstance(solver_obj, EngineSolver):
             return self._produce_sharded(record, scenario, solver_obj, cancel)
         return self._produce_registry(record, scenario)
 
@@ -702,8 +703,8 @@ class JobManager:
     def _produce_registry(
         self, record: JobRecord, scenario: Scenario
     ) -> ResultSet:
-        # Scalar/custom solvers and option-carrying runs evaluate as one
-        # unit through the Study registry contract (same path as inline).
+        # Scalar and custom solvers evaluate as one unit through
+        # Study.run (the same path as an inline request).
         self.store.update_progress(
             record.id, shards_total=1, points_total=scenario.size
         )

@@ -88,6 +88,7 @@ __all__ = [
     "TraceContext",
     "TraceStore",
     "activate",
+    "active_timer",
     "adopt",
     "assemble_tree",
     "clear_context",
@@ -307,6 +308,9 @@ def adopt(
 # ---------------------------------------------------------------------------
 
 
+_active_timer = threading.local()
+
+
 class PhaseTimer:
     """Accumulate named phase durations and mirror each one as a span.
 
@@ -316,27 +320,46 @@ class PhaseTimer:
     is nanoseconds), and additionally opens ``<prefix>.<name>`` on the
     active span tracer when one is installed.  Re-entering a phase name
     accumulates, so chunked or retried work sums naturally.
+
+    Phases nest: code running inside a phase reaches its timer through
+    :func:`active_timer`, and a phase opened there keeps its own time
+    while the enclosing phase keeps only the rest, so the phases of one
+    timer still sum to the wall time they cover.
     """
 
-    __slots__ = ("prefix", "phases")
+    __slots__ = ("prefix", "phases", "_inner")
 
     def __init__(self, prefix: str = "") -> None:
         self.prefix = prefix
         self.phases: dict[str, float] = {}
+        self._inner = 0.0
 
     @contextmanager
     def phase(self, name: str, **labels: Any) -> Iterator[None]:
         span_name = f"{self.prefix}.{name}" if self.prefix else name
+        outer_inner, self._inner = self._inner, 0.0
+        outer_timer = getattr(_active_timer, "timer", None)
+        _active_timer.timer = self
         started = time.perf_counter()
         try:
             with span(span_name, **labels):
                 yield
         finally:
             elapsed = time.perf_counter() - started
-            self.phases[name] = self.phases.get(name, 0.0) + elapsed
+            _active_timer.timer = outer_timer
+            self.phases[name] = (
+                self.phases.get(name, 0.0) + elapsed - self._inner
+            )
+            self._inner = outer_inner + elapsed
 
     def total(self) -> float:
         return sum(self.phases.values())
+
+
+def active_timer(prefix: str = "") -> PhaseTimer:
+    """The timer with a phase open on this thread, else a fresh one."""
+    timer = getattr(_active_timer, "timer", None)
+    return timer if timer is not None else PhaseTimer(prefix)
 
 
 # Honour the environment switch once, at import.

@@ -13,11 +13,14 @@ One protocol, one registry, seven built-in entries:
 ==================== ========================================================
 
 All of them honour the same contract (see :mod:`repro.solvers.base`):
-``solve(points, jobs=None, **options)`` returns one
-:class:`~repro.explore.engine.PointOutcome` per design point, in order,
-with infeasibility reported as data rather than raised.  Register your
-own with :func:`register_solver` and it becomes addressable from
-``Study(...).solver("your-name")`` and the CLI immediately.
+``solve(columns, jobs=None, **options)`` takes a scenario's candidate
+grid as :class:`~repro.explore.columnar.ExpandedColumns` and returns a
+row-aligned :class:`~repro.explore.columnar.ResultTable`, with
+infeasibility reported as data rather than raised.  Register your own
+with :func:`register_solver` and it becomes addressable from
+``Study(...).solver("your-name")``, jobs, the service and the CLI
+immediately; :func:`repro.explore.engine.run` is the one run path that
+calls every solver.
 
 :mod:`repro.solvers.batch_numerical` is not a registry entry but the
 vectorized kernel underneath ``auto``'s exact-numerical fallback: a
@@ -33,7 +36,6 @@ from .batch_numerical import (
     BatchNumericalSolution,
     BatchNumericalTask,
     solve_batch,
-    task_for_points,
 )
 from .registry import (
     available_solvers,
@@ -70,7 +72,6 @@ __all__ = [
     "register_solver",
     "solve_batch",
     "solver_summaries",
-    "task_for_points",
     "unregister_solver",
 ]
 

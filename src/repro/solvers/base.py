@@ -1,34 +1,32 @@
 """The :class:`Solver` protocol — one signature for every solve path.
 
-Historically the repository answered "which (Vdd, Vth) minimises total
-power at frequency f?" through five functions with five shapes:
-``closed_form_optimum`` and ``numerical_optimum`` (scalar, raising on
-infeasibility), ``numerical_optimum_linearized`` and ``bounded_optimum``
-(scalar with extra knobs), and the explore engine's ``evaluate_points``
-(batch, infeasibility-as-data).  A :class:`Solver` normalises all of them
-to one contract:
+Every answer to "which (Vdd, Vth) minimises total power at frequency
+f?" — the Eq. 13 closed form, the exact numerical baseline, the
+Section 4–5 selection — leaves through one contract:
 
-    ``solve(points, jobs=None, **options) -> list[PointOutcome]``
+    ``solve(columns, jobs=None, **options) -> ResultTable``
 
-* ``points`` is any sequence of :class:`repro.explore.scenario.
-  DesignPoint`; the returned list is aligned with it, one outcome per
-  point, in order.
-* Infeasibility is **data, not an exception**: an infeasible point comes
-  back as a :class:`repro.explore.engine.PointOutcome` with ``result``
-  None and a human-readable ``reason``.
+* ``columns`` is a scenario's candidate grid as column arrays
+  (:class:`repro.explore.columnar.ExpandedColumns`); the returned
+  :class:`repro.explore.columnar.ResultTable` is row-aligned with it.
+* Infeasibility is **data, not an exception**: an infeasible row has
+  ``feasible`` False, NaN operating-point columns and a human-readable
+  ``reason``.
 * ``jobs`` is a parallelism *hint*; purely scalar solvers may ignore it.
 * ``options`` are solver-specific keywords (e.g. ``vth_max`` for the
   bounded solver); solvers must reject unknown options loudly.
+
+:func:`repro.explore.engine.run` is the one run path that calls it, for
+``Study``, ``explore()``, jobs and the service alike.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from ..explore.engine import PointOutcome
-from ..explore.scenario import DesignPoint
+from ..explore.columnar import ExpandedColumns, ResultTable
 
-__all__ = ["Solver", "SolverError"]
+__all__ = ["Solver", "SolverError", "check_options"]
 
 
 class SolverError(ValueError):
@@ -37,7 +35,7 @@ class SolverError(ValueError):
 
 @runtime_checkable
 class Solver(Protocol):
-    """Anything that evaluates design points under the uniform contract.
+    """Anything that evaluates a candidate grid under the uniform contract.
 
     Implementations carry a ``name`` (the registry key) and a one-line
     ``summary`` used by CLI/API listings.
@@ -48,11 +46,11 @@ class Solver(Protocol):
 
     def solve(
         self,
-        points: Sequence[DesignPoint],
+        columns: ExpandedColumns,
         jobs: int | None = None,
         **options,
-    ) -> list[PointOutcome]:
-        """Evaluate every point; outcomes align with ``points``."""
+    ) -> ResultTable:
+        """Evaluate every row of ``columns``; the table aligns with it."""
         ...
 
 

@@ -1,10 +1,9 @@
-"""Batch solve paths: the PR 1 engine behind the :class:`Solver` contract.
+"""Batch solve paths: the explore engine behind the :class:`Solver` contract.
 
-These adapters route through :func:`repro.explore.engine.evaluate_points`
-so every ``Study`` run — and anything else that dispatches through the
-solver registry — gets the vectorized Eq. 9–13 kernel, the parallel
-exact-numerical executor, and the built-in vectorized-vs-scalar parity
-check for free.
+Every ``Study`` run — and anything else that dispatches through the
+solver registry — gets the vectorized Eq. 9–13 kernel, the exact-
+numerical fallback and the built-in vectorized-vs-scalar parity check
+from these three entries.  They take no options.
 
 ``vectorized``
     The numpy closed-form kernel everywhere it is defined (the engine's
@@ -16,24 +15,29 @@ check for free.
     The production policy: trust the vectorized kernel on the closed
     form's home turf and re-solve every flagged point — near the
     feasibility boundary ``1 − χA → 0``, near the Vth floor, outside the
-    Eq. 7 fit range — with the exact numerical solver.
+    Eq. 7 fit range — with the vectorized exact-numerical solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..explore.engine import PointOutcome, evaluate_points
-from ..explore.scenario import DesignPoint
+from ..explore import engine
+from ..explore.columnar import ExpandedColumns, ResultTable
 from .base import check_options
 
-__all__ = ["EngineSolver", "AUTO_SOLVER", "NUMERICAL_SOLVER", "VECTORIZED_SOLVER"]
+__all__ = [
+    "AUTO_SOLVER",
+    "ENGINE_SOLVERS",
+    "EngineSolver",
+    "NUMERICAL_SOLVER",
+    "VECTORIZED_SOLVER",
+]
 
 
 @dataclass(frozen=True)
 class EngineSolver:
-    """One :func:`evaluate_points` method exposed as a registry solver."""
+    """One explore-engine method exposed as a registry solver."""
 
     name: str
     summary: str
@@ -41,14 +45,14 @@ class EngineSolver:
 
     def solve(
         self,
-        points: Sequence[DesignPoint],
+        columns: ExpandedColumns,
         jobs: int | None = None,
         **options,
-    ) -> list[PointOutcome]:
-        check_options(self.name, options, ("parity_check",))
-        return evaluate_points(
-            points, method=self.engine_method, jobs=jobs, **options
-        )
+    ) -> ResultTable:
+        check_options(self.name, options, ())
+        if self.engine_method == "numerical":
+            return engine._evaluate_numerical(columns, jobs)
+        return engine._evaluate_columns(columns, self.engine_method)
 
 
 VECTORIZED_SOLVER = EngineSolver(
@@ -68,3 +72,9 @@ AUTO_SOLVER = EngineSolver(
     summary="vectorized kernel + exact-numerical fallback near the boundary",
     engine_method="auto",
 )
+
+#: The engine solver of each ``explore(method=...)`` value.
+ENGINE_SOLVERS = {
+    solver.engine_method: solver
+    for solver in (AUTO_SOLVER, VECTORIZED_SOLVER, NUMERICAL_SOLVER)
+}

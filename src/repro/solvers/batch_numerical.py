@@ -44,13 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from ..core.constants import EULER
-from ..core.constraint import chi_for_architecture
-from ..core.numerical import DEFAULT_VDD_SPAN
 
 __all__ = [
     "BOUNDARY_MARGIN",
@@ -59,8 +56,6 @@ __all__ = [
     "BatchNumericalSolution",
     "BatchNumericalTask",
     "solve_batch",
-    "solve_points",
-    "task_for_points",
 ]
 
 #: Absolute ``Vdd`` tolerance of the bounded search — the exact value
@@ -164,54 +159,6 @@ def exact_chi(
     base = frequency * logical_depth * zeta_effective / denominator
     return np.fromiter(
         map(pow, base.tolist(), inv_alpha.tolist()), float, count=base.size
-    )
-
-
-def task_for_points(
-    points: Sequence,
-    chi: np.ndarray | None = None,
-    vdd_span: tuple[float, float] = DEFAULT_VDD_SPAN,
-) -> BatchNumericalTask:
-    """Column arrays for a list of :class:`~repro.explore.scenario.DesignPoint`.
-
-    ``chi`` may be passed pre-computed (the batch kernel already has it
-    for every flagged point); otherwise it is derived per point with the
-    scalar helper.
-    """
-    if chi is None:
-        chi = np.array(
-            [
-                chi_for_architecture(p.architecture, p.technology, p.frequency)
-                for p in points
-            ],
-            dtype=float,
-        )
-    else:
-        chi = np.asarray(chi, dtype=float)
-    nominal = np.array([p.technology.vdd_nominal for p in points], dtype=float)
-    return BatchNumericalTask(
-        name=np.array([p.architecture.name for p in points], dtype=object),
-        n_cells=np.array(
-            [p.architecture.n_cells for p in points], dtype=float
-        ),
-        activity=np.array(
-            [p.architecture.activity for p in points], dtype=float
-        ),
-        capacitance=np.array(
-            [p.architecture.capacitance for p in points], dtype=float
-        ),
-        frequency=np.array([p.frequency for p in points], dtype=float),
-        chi=chi,
-        io_power=np.array(
-            [p.technology.io * p.architecture.io_factor for p in points],
-            dtype=float,
-        ),
-        inv_alpha=np.array(
-            [1.0 / p.technology.alpha for p in points], dtype=float
-        ),
-        n_ut=np.array([p.technology.n_ut for p in points], dtype=float),
-        vdd_lo=vdd_span[0] * nominal,
-        vdd_hi=vdd_span[1] * nominal,
     )
 
 
@@ -526,9 +473,3 @@ def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
         reason=reason,
     )
 
-
-def solve_points(
-    points: Sequence, chi: np.ndarray | None = None
-) -> BatchNumericalSolution:
-    """Convenience: :func:`task_for_points` + :func:`solve_batch`."""
-    return solve_batch(task_for_points(points, chi=chi))

@@ -1,10 +1,10 @@
 """Scalar solve paths wrapped into the uniform :class:`Solver` contract.
 
-Each of these wraps one of the repository's historical one-point-at-a-
-time entry points.  The wrapped function keeps its exact numerics — the
-solver only normalises the *shape*: a sequence of design points in, an
-aligned list of :class:`PointOutcome` out, infeasibility carried as a
-reason string instead of an exception.
+Each of these wraps one of the repository's one-point-at-a-time entry
+points.  The wrapped function keeps its exact numerics — the solver
+only normalises the *shape*: a candidate grid in, a row-aligned
+:class:`~repro.explore.columnar.ResultTable` out, infeasibility carried
+as a reason string instead of an exception.
 
 ``closed_form``
     Eqs. 9/10/8 via :func:`repro.core.closed_form.closed_form_optimum`
@@ -21,14 +21,13 @@ reason string instead of an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..core.bounded import bounded_optimum
 from ..core.closed_form import InfeasibleConstraintError, closed_form_optimum
 from ..core.numerical import numerical_optimum, numerical_optimum_linearized
 from ..core.optimum import OptimizationResult
-from ..explore.engine import PointOutcome
-from ..explore.scenario import DesignPoint
+from ..explore.columnar import ExpandedColumns, ResultTable
 from .base import check_options
 
 __all__ = [
@@ -47,10 +46,11 @@ class ScalarSolver:
     ``fn(arch, tech, frequency, **options)`` must return an
     :class:`OptimizationResult` or raise ``InfeasibleConstraintError`` /
     ``ValueError`` for infeasible problems (the contract every
-    ``repro.core`` optimiser already honours).  ``jobs`` is accepted for
-    signature uniformity and ignored — these paths are scalar by nature;
-    use the ``numerical`` or ``auto`` registry entries for parallel and
-    vectorized evaluation.
+    ``repro.core`` optimiser already honours); the error text becomes
+    the row's ``reason`` and every row is tagged with the solver name.
+    ``jobs`` is accepted for signature uniformity and ignored — these
+    paths are scalar by nature; use the ``numerical`` or ``auto``
+    registry entries for parallel and vectorized evaluation.
     """
 
     name: str
@@ -61,29 +61,26 @@ class ScalarSolver:
 
     def solve(
         self,
-        points: Sequence[DesignPoint],
+        columns: ExpandedColumns,
         jobs: int | None = None,
         **options,
-    ) -> list[PointOutcome]:
+    ) -> ResultTable:
         check_options(self.name, options, self.allowed_options)
         merged = {**self.defaults, **options}
-        outcomes = []
-        for point in points:
+
+        def solve_row(index: int) -> tuple[OptimizationResult | None, str]:
+            point = columns.design_point(index)
             try:
-                result = self.fn(
-                    point.architecture, point.technology, point.frequency, **merged
-                )
+                return self.fn(
+                    point.architecture, point.technology, point.frequency,
+                    **merged,
+                ), ""
             except (InfeasibleConstraintError, ValueError) as error:
-                outcomes.append(
-                    PointOutcome(
-                        point=point, result=None, reason=str(error), method=self.name
-                    )
-                )
-            else:
-                outcomes.append(
-                    PointOutcome(point=point, result=result, method=self.name)
-                )
-        return outcomes
+                return None, str(error)
+
+        return ResultTable.from_solutions(
+            columns, map(solve_row, range(columns.n)), self.name
+        )
 
 
 CLOSED_FORM_SOLVER = ScalarSolver(

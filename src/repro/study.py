@@ -4,11 +4,10 @@ The paper's methodology is a single question asked many ways: *which
 (architecture, technology, Vdd, Vth) minimises total power at frequency
 f?*  ``Study`` is the one public door to all of them.  A fluent builder
 compiles to an explore :class:`~repro.explore.scenario.Scenario` under
-the hood, dispatches through the :mod:`repro.solvers` registry (the
-``"auto"`` default rides the vectorized kernel with exact-numerical
-fallback), and every run returns one typed :class:`ResultSet` of uniform
-records — no more juggling ``OptimizationResult`` here, ``Candidate``
-there and engine outcomes elsewhere.
+the hood, runs it through the engine's one run path with a solver from
+the :mod:`repro.solvers` registry (the ``"auto"`` default rides the
+vectorized kernel with exact-numerical fallback), and every run returns
+one typed :class:`ResultSet` of uniform records.
 
 Quick start::
 
@@ -37,7 +36,6 @@ import csv
 import io
 import json
 import threading
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -51,19 +49,13 @@ from .explore.analysis import (
     rank_points,
     report,
 )
-from .explore.cache import CACHE_SCHEMA_VERSION, ResultCache
+from .explore.cache import ResultCache
 from .explore.columnar import ResultRows, ResultTable
-from .service.memcache import TieredCache, as_cache
-from .explore.engine import (
-    EvaluationStats,
-    PointResult,
-    flight_key,
-    read_cached,
-    write_cached,
-)
-from .explore.engine import explore as explore_scenario
+from .service.memcache import TieredCache
+from .explore.engine import EvaluationStats, PointResult
+from .explore.engine import run as run_solver
 from .explore.scenario import FrequencyGrid, Scenario, TransformStep
-from .solvers import EngineSolver, Solver, get_solver
+from .solvers import Solver, get_solver
 
 __all__ = ["Record", "ResultSet", "Study"]
 
@@ -522,31 +514,25 @@ class Study:
     def run(self) -> ResultSet:
         """Compile, solve, and package — the one call that does it all.
 
-        Engine-backed solvers (``auto``, ``vectorized``, ``numerical``)
-        delegate straight to :func:`repro.explore.engine.explore`, so a
-        Study shares the engine's cache entries — a sweep cached through
-        the historical ``explore()`` door is a cache hit here too.
-        Scalar and custom solvers run through the registry contract with
-        an equivalent Study-level cache.
+        Every solver goes through :func:`repro.explore.engine.run`, the
+        path ``explore()`` takes too: the engine's solvers (``auto``,
+        ``vectorized``, ``numerical``) key the cache exactly as
+        ``explore()`` does, so a sweep cached through either door is a
+        hit through the other; scalar and custom solvers key on
+        :func:`~repro.explore.engine.flight_key`.
         """
         scenario = self.scenario()
         solver = get_solver(self._solver)
         obs.inc("solver.calls", solver=solver.name)
         with obs.span("study.run", study=self._name, solver=solver.name):
-            if isinstance(solver, EngineSolver) and not self._solver_options:
-                return self._run_through_engine(scenario, solver)
-            return self._run_through_registry(scenario, solver)
-
-    def _run_through_engine(
-        self, scenario: Scenario, solver: EngineSolver
-    ) -> ResultSet:
-        exploration = explore_scenario(
-            scenario,
-            method=solver.engine_method,
-            jobs=self._jobs,
-            cache=self._cache,
-            use_cache=self._use_cache,
-        )
+            exploration = run_solver(
+                scenario,
+                solver,
+                self._solver_options,
+                jobs=self._jobs,
+                cache=self._cache,
+                use_cache=self._use_cache,
+            )
         return ResultSet(
             records=exploration.points,
             solver=solver.name,
@@ -555,65 +541,4 @@ class Study:
             cache_hit=exploration.cache_hit,
             cache_key=exploration.cache_key,
             cache_path=exploration.cache_path,
-        )
-
-    def _run_through_registry(
-        self, scenario: Scenario, solver: Solver
-    ) -> ResultSet:
-        cache: TieredCache | None = None
-        key = ""
-        if self._use_cache:
-            cache = as_cache(self._cache)
-            key = flight_key(scenario, self.solver_name, self._solver_options)
-            cached = read_cached(cache, key)
-            if cached is not None:
-                table, stats, _ = cached
-                return ResultSet(
-                    records=table.rows(),
-                    solver=solver.name,
-                    scenario=scenario,
-                    stats=stats,
-                    cache_hit=True,
-                    cache_key=key,
-                    cache_path=cache.path_for(key),
-                )
-
-        timer = obs.PhaseTimer("solver")
-        started = time.perf_counter()
-        with timer.phase("expand"):
-            points = scenario.expand()
-        with timer.phase("solve", solver=solver.name):
-            outcomes = solver.solve(
-                points, jobs=self._jobs, **self._solver_options
-            )
-        elapsed = time.perf_counter() - started
-
-        with timer.phase("analysis"):
-            table = ResultTable.from_outcomes(outcomes)
-            stats = EvaluationStats.from_outcomes(
-                outcomes, elapsed, phases=timer.phases
-            )
-        cache_path = None
-        if cache is not None:
-            with timer.phase("cache_write"):
-                cache_path = write_cached(
-                    cache,
-                    key,
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "solver": solver.name,
-                        "scenario": scenario.to_dict(),
-                        "stats": stats.to_dict(),
-                        "columns": table.columns,
-                    },
-                )
-            stats = replace(stats, phases=dict(timer.phases))
-        return ResultSet(
-            records=table.rows(),
-            solver=solver.name,
-            scenario=scenario,
-            stats=stats,
-            cache_hit=False,
-            cache_key=key,
-            cache_path=cache_path,
         )

@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.selection (Sections 4-5 methodology)."""
+"""The paper's Sections 4-5 selection conclusions, asked through Study."""
 
 import pytest
 
@@ -7,14 +7,12 @@ from repro import (
     ST_CMOS09_HS,
     ST_CMOS09_LL,
     ST_CMOS09_ULL,
-    best_architecture,
-    best_technology,
-    rank_architectures,
-    rank_technologies,
-    selection_matrix,
+    Study,
 )
 from repro.core.calibration import calibrate_row
 from repro.experiments.paper_data import PAPER_FREQUENCY, TABLE1_BY_NAME
+
+FLAVOURS = (ST_CMOS09_ULL, ST_CMOS09_LL, ST_CMOS09_HS)
 
 
 @pytest.fixture
@@ -23,36 +21,44 @@ def multipliers():
     return [calibrate_row(row, ST_CMOS09_LL, PAPER_FREQUENCY) for row in rows]
 
 
+@pytest.fixture
+def impossible():
+    return ArchitectureParameters(
+        name="impossible", n_cells=100, activity=0.1,
+        logical_depth=100000, capacitance=10e-15,
+    )
+
+
+def _select(architectures, technologies):
+    """The exact numerical answer for every (architecture, technology)."""
+    return (
+        Study("selection")
+        .architectures(*architectures)
+        .technologies(*technologies)
+        .frequencies(PAPER_FREQUENCY)
+        .solver("numerical")
+        .jobs(1)
+        .run()
+    )
+
+
 class TestArchitectureRanking:
     def test_wallace_wins_on_ll(self, multipliers):
-        winner = best_architecture(multipliers, ST_CMOS09_LL, PAPER_FREQUENCY)
-        assert winner.architecture.name == "Wallace"
+        winner = _select(multipliers, [ST_CMOS09_LL]).best()
+        assert winner.architecture == "Wallace"
 
     def test_rank_order_matches_table1(self, multipliers):
-        ranked = rank_architectures(multipliers, ST_CMOS09_LL, PAPER_FREQUENCY)
-        names = [candidate.architecture.name for candidate in ranked]
-        assert names == ["Wallace", "RCA", "Sequential"]
+        ranked = _select(multipliers, [ST_CMOS09_LL]).rank()
+        assert [record.architecture for record in ranked] == [
+            "Wallace", "RCA", "Sequential",
+        ]
 
-    def test_infeasible_candidates_sorted_last(self, multipliers):
-        impossible = ArchitectureParameters(
-            name="impossible", n_cells=100, activity=0.1,
-            logical_depth=100000, capacitance=10e-15,
-        )
-        ranked = rank_architectures(
-            multipliers + [impossible], ST_CMOS09_LL, PAPER_FREQUENCY
-        )
-        assert ranked[-1].architecture.name == "impossible"
+    def test_infeasible_candidates_sorted_last(self, multipliers, impossible):
+        ranked = _select(multipliers + [impossible], [ST_CMOS09_LL]).rank()
+        assert ranked[-1].architecture == "impossible"
         assert not ranked[-1].feasible
-        assert ranked[-1].ptot == float("inf")
+        assert ranked[-1].ptot_or_inf == float("inf")
         assert ranked[-1].reason != ""
-
-    def test_all_infeasible_raises_with_reasons(self):
-        impossible = ArchitectureParameters(
-            name="impossible", n_cells=100, activity=0.1,
-            logical_depth=100000, capacitance=10e-15,
-        )
-        with pytest.raises(ValueError, match="no architecture is feasible"):
-            best_architecture([impossible], ST_CMOS09_LL, PAPER_FREQUENCY)
 
 
 class TestTechnologyRanking:
@@ -60,103 +66,53 @@ class TestTechnologyRanking:
         """Section 5's conclusion: the moderate flavour beats both extremes
         for the Wallace multiplier at 31.25 MHz."""
         arch = calibrate_row(TABLE1_BY_NAME["Wallace"], ST_CMOS09_LL, PAPER_FREQUENCY)
-        winner = best_technology(
-            arch, [ST_CMOS09_ULL, ST_CMOS09_LL, ST_CMOS09_HS], PAPER_FREQUENCY
-        )
-        assert winner.technology.name == "ST-CMOS09-LL"
+        assert _select([arch], FLAVOURS).best().technology == "ST-CMOS09-LL"
 
     def test_rank_technologies_returns_all(self):
         arch = calibrate_row(TABLE1_BY_NAME["Wallace"], ST_CMOS09_LL, PAPER_FREQUENCY)
-        ranked = rank_technologies(
-            arch, [ST_CMOS09_ULL, ST_CMOS09_LL, ST_CMOS09_HS], PAPER_FREQUENCY
-        )
+        ranked = _select([arch], FLAVOURS).rank()
         assert len(ranked) == 3
-        assert all(candidate.feasible for candidate in ranked)
-
-
-class TestEmptyAxes:
-    def test_empty_candidate_lists_yield_empty_reports(self, multipliers):
-        """Historical contract: empty axes are an empty answer, not an error."""
-        from repro import evaluate_candidates
-
-        assert evaluate_candidates([], [ST_CMOS09_LL], PAPER_FREQUENCY) == []
-        assert evaluate_candidates(multipliers, [], PAPER_FREQUENCY) == []
-        assert rank_architectures([], ST_CMOS09_LL, PAPER_FREQUENCY) == []
+        assert all(record.feasible for record in ranked)
 
 
 class TestSelectionMatrix:
     def test_matrix_covers_product(self, multipliers):
-        matrix = selection_matrix(
-            multipliers, [ST_CMOS09_LL, ST_CMOS09_HS], PAPER_FREQUENCY
-        )
-        assert len(matrix) == len(multipliers) * 2
-        assert ("Wallace", "ST-CMOS09-LL") in matrix
+        result = _select(multipliers, [ST_CMOS09_LL, ST_CMOS09_HS])
+        pairs = {(record.architecture, record.technology) for record in result}
+        assert len(pairs) == len(result) == len(multipliers) * 2
+        assert ("Wallace", "ST-CMOS09-LL") in pairs
 
     def test_matrix_entries_carry_results(self, multipliers):
-        matrix = selection_matrix(multipliers, [ST_CMOS09_LL], PAPER_FREQUENCY)
-        candidate = matrix[("RCA", "ST-CMOS09-LL")]
-        assert candidate.feasible
-        assert candidate.ptot > 0
+        result = _select(multipliers, [ST_CMOS09_LL])
+        (record,) = result.filter(lambda r: r.architecture == "RCA")
+        assert record.feasible
+        assert record.ptot > 0
 
 
 class TestDeprecationShim:
-    """The module is a deprecated facade: lazy, warning, still correct."""
+    """The deprecated ``repro.core.selection`` shim is gone (1.11.0)."""
 
     def test_plain_import_repro_does_not_import_selection(self):
         import subprocess
         import sys
 
-        # A fresh interpreter: `import repro` must neither load the shim
-        # nor emit its DeprecationWarning.
+        # A fresh interpreter: `import repro` emits no DeprecationWarning,
+        # and neither the module nor its seven names exist any more.
         code = (
-            "import warnings, sys\n"
+            "import warnings\n"
             "with warnings.catch_warnings():\n"
             "    warnings.simplefilter('error', DeprecationWarning)\n"
             "    import repro\n"
-            "assert 'repro.core.selection' not in sys.modules\n"
+            "try:\n"
+            "    import repro.core.selection\n"
+            "except ModuleNotFoundError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('repro.core.selection imports')\n"
+            "names = ('Candidate', 'best_architecture', 'best_technology',\n"
+            "         'evaluate_candidates', 'rank_architectures',\n"
+            "         'rank_technologies', 'selection_matrix')\n"
+            "assert not any(hasattr(repro, n) for n in names)\n"
+            "assert not any(hasattr(repro.core, n) for n in names)\n"
         )
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, env=None,
-        )
-
-    def test_module_import_warns(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.core.selection", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.import_module("repro.core.selection")
-        messages = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert any("repro.core.selection is deprecated" in m for m in messages)
-        assert any("repro.Study" in m for m in messages)
-
-    def test_lazy_top_level_access_resolves_the_shim(self):
-        import repro
-
-        assert repro.best_architecture is not None
-        assert repro.core.Candidate.__module__ == "repro.core.selection"
-
-    def test_shim_matches_study_numerics(self, multipliers):
-        """The delegated helpers agree with a direct Study run exactly."""
-        from repro import Study
-
-        ranked = rank_architectures(multipliers, ST_CMOS09_LL, PAPER_FREQUENCY)
-        records = (
-            Study("direct")
-            .architectures(*multipliers)
-            .technologies(ST_CMOS09_LL)
-            .frequencies(PAPER_FREQUENCY)
-            .solver("numerical")
-            .run()
-            .rank()
-        )
-        assert [c.architecture.name for c in ranked] == [
-            r.architecture for r in records
-        ]
-        assert [c.ptot for c in ranked] == [r.ptot for r in records]
+        subprocess.run([sys.executable, "-c", code], check=True)

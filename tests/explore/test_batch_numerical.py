@@ -12,7 +12,7 @@ from repro.core.numerical import DEFAULT_VDD_SPAN
 from repro.core.technology import flavour
 from repro.explore import engine
 from repro.explore.columnar import expand_columns
-from repro.explore.engine import evaluate_points
+from repro.explore.engine import evaluate_table
 from repro.explore.executor import solve_point
 from repro.explore.scenario import (
     DesignPoint,
@@ -26,13 +26,25 @@ from repro.solvers.batch_numerical import (
     BatchNumericalTask,
     exact_chi,
     solve_batch,
-    solve_points,
-    task_for_points,
 )
 
 
 def _reference(point):
     return solve_point((point.architecture, point.technology, point.frequency))
+
+
+def _task(arch, technologies, frequencies):
+    """The engine's fallback task for every row of a one-architecture
+    grid, in expansion order (technology-major, then frequency)."""
+    columns = expand_columns(
+        Scenario(
+            name="task",
+            architectures=(arch,),
+            technologies=tuple(technologies),
+            frequencies=FrequencyGrid(tuple(float(f) for f in frequencies)),
+        )
+    )
+    return engine._fallback_task(columns, np.arange(columns.n))
 
 
 def _search_every_row(task):
@@ -103,22 +115,34 @@ def _demo_wallace():
     return arch
 
 
+BOUNDARY_TECHNOLOGIES = ("LL", "HS", "ULL")
+BOUNDARY_FREQUENCIES = np.geomspace(1e6, 1e10, 40)
+
+
 @pytest.fixture
 def boundary_grid(wallace_arch):
     """Points straddling every regime: deep interior, flagged, infeasible."""
     arch = wallace_arch
     points = []
-    for tech in (flavour("LL"), flavour("HS"), flavour("ULL")):
-        for frequency in np.geomspace(1e6, 1e10, 40):
+    for tech in map(flavour, BOUNDARY_TECHNOLOGIES):
+        for frequency in BOUNDARY_FREQUENCIES:
             points.append(DesignPoint(arch, tech, float(frequency)))
     return points
 
 
+@pytest.fixture
+def boundary_task(wallace_arch):
+    """The engine's fallback task for ``boundary_grid``, row for row."""
+    return _task(
+        wallace_arch, map(flavour, BOUNDARY_TECHNOLOGIES), BOUNDARY_FREQUENCIES
+    )
+
+
 class TestScalarParity:
     def test_feasibility_reasons_and_power_match_reference(
-        self, boundary_grid
+        self, boundary_grid, boundary_task
     ):
-        solution = solve_points(boundary_grid)
+        solution = solve_batch(boundary_task)
         compared_feasible = compared_infeasible = 0
         for index, point in enumerate(boundary_grid):
             reference, reason = _reference(point)
@@ -147,10 +171,10 @@ class TestScalarParity:
                 compared_feasible += 1
         assert compared_feasible >= 20 and compared_infeasible >= 5
 
-    def test_trajectories_are_bit_identical(self, boundary_grid):
+    def test_trajectories_are_bit_identical(self, boundary_grid, boundary_task):
         """Stronger than the 1e-9 bar: the lockstep port replays scipy's
         search exactly, so results match to the last bit."""
-        solution = solve_points(boundary_grid)
+        solution = solve_batch(boundary_task)
         for index, point in enumerate(boundary_grid):
             reference, _ = _reference(point)
             if reference is not None:
@@ -192,7 +216,11 @@ class TestScalarParity:
         )
         assert np.array_equal(vectorized, scalar)
 
-    def test_precomputed_chi_matches_self_computed(self, boundary_grid):
+    def test_precomputed_chi_matches_self_computed(
+        self, boundary_grid, boundary_task
+    ):
+        """The engine's task (χ from :func:`exact_chi`) solves exactly as
+        one carrying the scalar helper's χ."""
         from repro.core.constraint import chi_for_architecture
 
         chi = np.array(
@@ -201,15 +229,15 @@ class TestScalarParity:
                 for p in boundary_grid
             ]
         )
-        with_chi = solve_points(boundary_grid, chi=chi)
-        without = solve_points(boundary_grid)
+        with_chi = solve_batch(dataclasses.replace(boundary_task, chi=chi))
+        without = solve_batch(boundary_task)
         assert np.array_equal(with_chi.vdd, without.vdd, equal_nan=True)
         assert list(with_chi.reason) == list(without.reason)
 
 
 class TestWorkCount:
     def test_objective_runs_as_often_as_scipy(
-        self, boundary_grid, monkeypatch, search_results
+        self, boundary_grid, boundary_task, monkeypatch, search_results
     ):
         """Rows leave the batch search as they converge, so the objective
         runs on each row exactly as often as the scalar search of that
@@ -237,7 +265,7 @@ class TestWorkCount:
             return objective(task, vdd)
 
         monkeypatch.setattr(batch_numerical, "_objective", counting_objective)
-        solve_points(boundary_grid)
+        solve_batch(boundary_task)
         ((task, result),) = search_results
         assert len(set(task.chi.tolist())) == task.size
         cost = np.array([evaluations[chi] for chi in task.chi.tolist()])
@@ -325,7 +353,7 @@ class TestPinnedEndCertificates:
         """Vth < 0 across the whole span, yet an interior optimum."""
         arch = dataclasses.replace(_demo_wallace(), io_factor=1e-3)
         point = DesignPoint(arch, flavour("LL"), 1.4e9)
-        solution = solve_points([point])
+        solution = solve_batch(_task(arch, [point.technology], [point.frequency]))
         assert not np.logical_or(*_certified(*search_results[0]))[0]
         assert bool(solution.feasible[0])
         assert f"{solution.vdd[0]:.4f}" == "2.0632"
@@ -333,7 +361,7 @@ class TestPinnedEndCertificates:
 
     def test_overflowing_row_is_searched(self, search_results):
         """h(hi) ≤ n·Ut, but Ptot(hi) overflows to inf."""
-        task = task_for_points([DesignPoint(_demo_wallace(), flavour("LL"), 1e12)])
+        task = _task(_demo_wallace(), [flavour("LL")], [1e12])
         assert (_slope_at(task, task.vdd_hi) <= task.n_ut)[0]
         assert np.isinf(batch_numerical._objective(task, task.vdd_hi))[0]
         _assert_same_as_search(solve_batch(task), task)
@@ -342,7 +370,7 @@ class TestPinnedEndCertificates:
     def test_lower_end_on_a_rounding_boundary_is_searched(self, search_results):
         """lo = 0.05005 prints 0.0500, but the search stops just above it."""
         tech = dataclasses.replace(flavour("LL"), vdd_nominal=1.001)
-        task = task_for_points([DesignPoint(_demo_wallace(), tech, 1e10)])
+        task = _task(_demo_wallace(), [tech], [1e10])
         assert (_slope_at(task, task.vdd_hi) <= task.n_ut)[0]
         assert f"{task.vdd_lo[0]:.4f}" != f"{task.vdd_lo[0] + 1e-6:.4f}"
         solution = solve_batch(task)
@@ -355,7 +383,7 @@ class TestPinnedEndCertificates:
     ):
         """Ptot falls toward hi and is finite there, but overflows at every
         point the search tries, so "falls" never holds on a finite Ptot(a)."""
-        task = task_for_points([DesignPoint(_demo_wallace(), flavour("LL"), 1.4e9)])
+        task = _task(_demo_wallace(), [flavour("LL")], [1.4e9])
         hi = task.vdd_hi
         pstat = batch_numerical._power_split(task, hi)[2]
         task = dataclasses.replace(
@@ -375,7 +403,7 @@ class TestPinnedEndCertificates:
         2.40005.  The row is certified once hi is made eligible."""
         (rca,) = (a for a in demo_scenario().architectures if a.name == "RCA16")
         tech = dataclasses.replace(flavour("ULL"), vdd_nominal=1.20002502)
-        task = task_for_points([DesignPoint(rca, tech, 2.409e8)])
+        task = _task(rca, [tech], [2.409e8])
         assert f"{task.vdd_hi[0]:.4f}" != f"{task.vdd_hi[0] - 1e-6:.4f}"
         solution = solve_batch(task)
         _assert_same_as_search(solution, task)
@@ -407,20 +435,30 @@ class TestCanonicalSweep:
             return calls[-1][1]
 
         monkeypatch.setattr(batch_numerical, "solve_batch", recording_solve)
-        engine._evaluate_columns(expand_columns(scenario), "auto", parity_check=False)
+        engine._evaluate_columns(expand_columns(scenario), "auto")
         ((task, solution),) = calls
         assert task.size == 36_231
         _assert_same_as_search(solution, task)
 
 
 class TestTaskPlumbing:
-    def test_empty_task(self):
-        solution = solve_points([])
+    def test_empty_task(self, wallace_arch):
+        columns = expand_columns(
+            Scenario(
+                name="empty",
+                architectures=(wallace_arch,),
+                technologies=(flavour("LL"),),
+                frequencies=FrequencyGrid.single(31.25e6),
+            )
+        )
+        solution = solve_batch(
+            engine._fallback_task(columns, np.arange(0, dtype=int))
+        )
         assert solution.size == 0
         assert solution.feasible.dtype == bool
 
-    def test_task_arrays_align(self, boundary_grid):
-        task = task_for_points(boundary_grid)
+    def test_task_arrays_align(self, boundary_grid, boundary_task):
+        task = boundary_task
         assert task.size == len(boundary_grid)
         point = boundary_grid[7]
         assert task.name[7] == point.architecture.name
@@ -432,7 +470,7 @@ class TestTaskPlumbing:
 
     def test_single_point_task(self, wallace_arch, tech_ll):
         point = DesignPoint(wallace_arch, tech_ll, 31.25e6)
-        solution = solve_points([point])
+        solution = solve_batch(_task(wallace_arch, [tech_ll], [31.25e6]))
         reference, _ = _reference(point)
         assert solution.size == 1
         assert bool(solution.feasible[0])
@@ -450,21 +488,20 @@ class TestEngineFallbackIntegration:
             technologies=(tech_ll,),
             frequencies=FrequencyGrid.logspace(4e6, 4e9, 30),
         )
-        outcomes = evaluate_points(scenario.expand(), method="auto")
+        table = evaluate_table(scenario, method="auto")
         compared = 0
-        for outcome in outcomes:
-            if outcome.method != "numerical-fallback":
+        for point, row in zip(scenario.expand(), table.rows()):
+            if row.method != "numerical-fallback":
                 continue
             compared += 1
-            reference, reason = _reference(outcome.point)
+            reference, reason = _reference(point)
             if reference is None:
-                assert outcome.result is None
-                assert outcome.reason == reason
+                assert not row.feasible
+                assert row.reason == reason
             else:
-                assert outcome.result is not None
-                assert outcome.result.point.ptot == reference.point.ptot
-                assert outcome.result.point.vdd == reference.point.vdd
-                assert outcome.result.point.method == "numerical-1d"
+                assert row.feasible
+                assert row.ptot == reference.point.ptot
+                assert row.vdd == reference.point.vdd
         assert compared >= 3
 
     def test_auto_never_touches_the_pool(self, wallace_arch, tech_ll, monkeypatch):
@@ -483,5 +520,5 @@ class TestEngineFallbackIntegration:
             technologies=(tech_ll,),
             frequencies=FrequencyGrid.logspace(4e6, 4e9, 12),
         )
-        outcomes = evaluate_points(scenario.expand(), method="auto")
-        assert any(o.method == "numerical-fallback" for o in outcomes)
+        table = evaluate_table(scenario, method="auto")
+        assert "numerical-fallback" in set(table.column("method"))

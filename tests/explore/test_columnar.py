@@ -8,8 +8,6 @@ from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.explore.columnar import ResultTable, expand_columns
 from repro.explore.engine import (
     EvaluationStats,
-    PointResult,
-    evaluate_points,
     evaluate_table,
     explore,
 )
@@ -64,11 +62,6 @@ class TestExpandColumns:
 
 
 class TestResultTable:
-    def test_rows_match_object_pipeline(self, mixed_scenario, mixed_table):
-        outcomes = evaluate_points(mixed_scenario.expand(), method="auto")
-        expected = [PointResult.from_outcome(o) for o in outcomes]
-        assert mixed_table.rows() == expected
-
     def test_to_dicts_matches_per_record_dicts(self, mixed_table):
         assert mixed_table.to_dicts() == [
             row.to_dict() for row in mixed_table.rows()

@@ -1,24 +1,24 @@
-"""Engine orchestration: methods, fallback, caching, delegation."""
+"""Engine orchestration: methods, fallback, caching, selection."""
 
 import pytest
 
+from repro import Study
 from repro.core.closed_form import closed_form_optimum
 from repro.core.numerical import numerical_optimum
-from repro.core.selection import evaluate_candidates
 from repro.explore import engine as engine_module
 from repro.explore.cache import ResultCache
 from repro.explore.engine import (
     EvaluationStats,
     PointResult,
-    evaluate_points,
+    evaluate_table,
     explore,
 )
 from repro.explore.scenario import (
-    DesignPoint,
     FrequencyGrid,
     Scenario,
     demo_scenario,
 )
+from repro.solvers import EngineSolver, batch_numerical
 
 
 @pytest.fixture
@@ -31,45 +31,57 @@ def small_scenario(wallace_arch, tech_ll):
     )
 
 
+def _single(arch, tech, frequency):
+    return Scenario(
+        name="single",
+        architectures=(arch,),
+        technologies=(tech,),
+        frequencies=FrequencyGrid.single(frequency),
+    )
+
+
 class TestEvaluatePoints:
+    """Per-point semantics of the engine's methods on the columnar path."""
+
     def test_outcomes_align_with_points(self, small_scenario):
         points = small_scenario.expand()
-        outcomes = evaluate_points(points, jobs=1)
-        assert len(outcomes) == len(points)
-        for point, outcome in zip(points, outcomes):
-            assert outcome.point is point
+        table = evaluate_table(small_scenario, jobs=1)
+        assert len(table) == len(points)
+        for point, row in zip(points, table.rows()):
+            assert row.architecture == point.architecture.name
+            assert row.technology == point.technology.name
+            assert row.frequency == point.frequency
 
     def test_auto_matches_closed_form_on_interior(self, wallace_arch, tech_ll):
-        point = DesignPoint(wallace_arch, tech_ll, 31.25e6)
-        (outcome,) = evaluate_points([point], jobs=1)
-        assert outcome.method == "vectorized-closed-form"
+        table = evaluate_table(_single(wallace_arch, tech_ll, 31.25e6), jobs=1)
+        (row,) = table.rows()
+        assert row.method == "vectorized-closed-form"
         scalar = closed_form_optimum(wallace_arch, tech_ll, 31.25e6)
-        assert outcome.result.ptot == pytest.approx(scalar.ptot, rel=1e-9)
+        assert row.ptot == pytest.approx(scalar.ptot, rel=1e-9)
 
     def test_fallback_points_use_reference_solver(self, wallace_arch, tech_ll):
         # 2 GHz is infeasible for this circuit: auto must report the
         # numerical solver's verdict, not the closed form's.
-        infeasible = DesignPoint(wallace_arch, tech_ll, 2e9)
-        (outcome,) = evaluate_points([infeasible], jobs=1)
-        assert not outcome.feasible
-        assert outcome.method == "numerical-fallback"
-        assert outcome.reason != ""
+        table = evaluate_table(_single(wallace_arch, tech_ll, 2e9), jobs=1)
+        (row,) = table.rows()
+        assert not row.feasible
+        assert row.method == "numerical-fallback"
+        assert row.reason != ""
 
     def test_numerical_method_matches_direct_calls(self, small_scenario):
         points = small_scenario.expand()
-        outcomes = evaluate_points(points, method="numerical", jobs=1)
-        for point, outcome in zip(points, outcomes):
+        table = evaluate_table(small_scenario, method="numerical", jobs=1)
+        for point, row in zip(points, table.rows()):
+            assert row.method == "numerical"
             try:
                 expected = numerical_optimum(
                     point.architecture, point.technology, point.frequency
                 )
             except ValueError as error:
-                assert not outcome.feasible
-                assert outcome.reason == str(error)
+                assert not row.feasible
+                assert row.reason == str(error)
             else:
-                assert outcome.result.ptot == pytest.approx(
-                    expected.ptot, rel=1e-12
-                )
+                assert row.ptot == pytest.approx(expected.ptot, rel=1e-12)
 
     def test_closed_form_method_never_calls_scipy(
         self, small_scenario, monkeypatch
@@ -80,34 +92,31 @@ class TestEvaluatePoints:
         monkeypatch.setattr(
             engine_module.executor_module, "run_numerical", _banned
         )
-        outcomes = evaluate_points(
-            small_scenario.expand(), method="closed-form"
-        )
-        assert any(o.feasible for o in outcomes)
-        assert any(not o.feasible for o in outcomes)
-        for outcome in outcomes:
-            assert outcome.method == "vectorized-closed-form"
+        monkeypatch.setattr(batch_numerical, "solve_batch", _banned)
+        table = evaluate_table(small_scenario, method="closed-form")
+        assert table.feasible.any()
+        assert not table.feasible.all()
+        assert set(table.column("method")) == {"vectorized-closed-form"}
 
     def test_auto_agrees_with_numerical_within_paper_error(
         self, small_scenario
     ):
         """Eq. 13's headline <3 % claim holds across the auto sweep."""
-        auto = evaluate_points(small_scenario.expand(), jobs=1)
-        exact = evaluate_points(
-            small_scenario.expand(), method="numerical", jobs=1
-        )
+        auto = evaluate_table(small_scenario, jobs=1).rows()
+        exact = evaluate_table(small_scenario, method="numerical", jobs=1).rows()
         compared = 0
         for fast, reference in zip(auto, exact):
             if fast.feasible and reference.feasible:
-                error = abs(fast.result.ptot - reference.result.ptot)
-                assert error / reference.result.ptot < 0.03
+                error = abs(fast.ptot - reference.ptot)
+                assert error / reference.ptot < 0.03
                 compared += 1
         assert compared >= 5
 
-    def test_unknown_method_rejected(self, wallace_arch, tech_ll):
-        point = DesignPoint(wallace_arch, tech_ll, 31.25e6)
+    def test_unknown_method_rejected(self, small_scenario):
         with pytest.raises(ValueError, match="unknown method"):
-            evaluate_points([point], method="magic")
+            evaluate_table(small_scenario, method="magic")
+        with pytest.raises(ValueError, match="unknown method"):
+            explore(small_scenario, method="magic", use_cache=False)
 
 
 class TestExploreCache:
@@ -136,7 +145,10 @@ class TestExploreCache:
         def _banned(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("cache hit must not re-evaluate")
 
-        monkeypatch.setattr(engine_module, "evaluate_points", _banned)
+        # Every run path evaluation expands the grid and calls the
+        # solver; explore(method="auto") solves through EngineSolver.
+        monkeypatch.setattr(engine_module, "expand_columns", _banned)
+        monkeypatch.setattr(EngineSolver, "solve", _banned)
         result = explore(small_scenario, cache=tmp_path, jobs=1)
         assert result.cache_hit
 
@@ -260,15 +272,23 @@ class TestPointResult:
 
 
 class TestSelectionDelegation:
+    """Selection runs through Study on the engine's numerical path."""
+
     def test_evaluate_candidates_matches_reference(
         self, wallace_arch, tech_ll, paper_frequency
     ):
-        candidates = evaluate_candidates(
-            [wallace_arch], [tech_ll], paper_frequency
+        result = (
+            Study("selection")
+            .architectures(wallace_arch)
+            .technologies(tech_ll)
+            .frequencies(paper_frequency)
+            .solver("numerical")
+            .jobs(1)
+            .run()
         )
-        assert len(candidates) == 1
+        assert len(result) == 1
         expected = numerical_optimum(wallace_arch, tech_ll, paper_frequency)
-        assert candidates[0].ptot == pytest.approx(expected.ptot, rel=1e-12)
+        assert result[0].ptot == pytest.approx(expected.ptot, rel=1e-12)
 
     def test_infeasible_reporting_preserved(self, tech_ll, paper_frequency):
         from repro import ArchitectureParameters
@@ -277,13 +297,19 @@ class TestSelectionDelegation:
             name="impossible", n_cells=100, activity=0.1,
             logical_depth=100000, capacitance=10e-15,
         )
-        (candidate,) = evaluate_candidates(
-            [impossible], [tech_ll], paper_frequency
+        (record,) = (
+            Study("selection")
+            .architectures(impossible)
+            .technologies(tech_ll)
+            .frequencies(paper_frequency)
+            .solver("numerical")
+            .jobs(1)
+            .run()
         )
-        assert not candidate.feasible
-        assert candidate.result is None
-        assert candidate.reason != ""
-        assert candidate.ptot == float("inf")
+        assert not record.feasible
+        assert record.ptot is None
+        assert record.reason != ""
+        assert record.ptot_or_inf == float("inf")
 
 
 class TestDemoScenarioEndToEnd:

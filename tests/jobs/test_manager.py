@@ -105,6 +105,8 @@ class TestSubmitAndResult:
         scenario = demo_scenario(frequency_points=2)
         with pytest.raises(SolverError):
             manager.submit(scenario, solver="quantum")
+        with pytest.raises(SolverError, match="parity_check"):
+            manager.submit(scenario, options={"parity_check": False})
         with pytest.raises(ValueError):
             manager.submit(scenario, shards=0)
         assert manager.jobs() == []

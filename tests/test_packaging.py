@@ -84,3 +84,25 @@ def test_import_leaves_scipy_unloaded():
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_every_public_name_resolves():
+    """Each name a module lists in ``__all__`` exists (what ruff's F822
+    checks), so a deleted function cannot linger as a stale export."""
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, missing
+    assert sum(len(getattr(m, "__all__", ())) for m in modules) > 400

@@ -12,9 +12,14 @@ Numeric and bool columns are raw little-endian buffers, each starting
 on an 8-byte boundary.  String columns are dictionary-encoded: the
 vocabulary sits in the descriptor and the buffer holds ``uint32`` codes.
 
-:func:`decode` takes the whole file as one ``bytes`` object and returns
-numeric columns as read-only ``np.frombuffer`` views of it and string
-columns as object arrays of ``str``.  The file ends where its last
+:func:`encode` takes a string column as a
+:class:`~.columnar.Categorical` (any other string array is factorized
+first) and writes its canonical form, so a file's bytes depend only on
+the column's strings.  :func:`decode` takes the whole file as one
+``bytes`` object and returns numeric columns as read-only
+``np.frombuffer`` views of it and string columns as ``Categorical``
+codes (views too) into their vocabulary; ``.objects()`` gives the
+object array of ``str``.  The file ends where its last
 buffer ends, and a file of any other length than its header describes
 is rejected, so a torn write never decodes.  Malformed input of any
 kind raises ``ValueError``, the one exception readers quarantine on.
@@ -27,6 +32,8 @@ import struct
 from typing import Any, Mapping
 
 import numpy as np
+
+from .columnar import Categorical
 
 __all__ = ["MAGIC", "decode", "encode"]
 
@@ -45,18 +52,17 @@ def _aligned(size: int) -> int:
 
 def _encode_column(name: str, values: Any) -> tuple[np.ndarray, dict[str, Any]]:
     """One column's buffer as an array, and its descriptor minus the offset."""
-    array = np.asarray(values)
-    if array.ndim != 1:
-        raise ValueError(f"column {name!r} is not 1-D: shape {array.shape}")
     spec: dict[str, Any] = {}
-    if array.dtype.kind in "OU":
-        strings = array.tolist()
-        vocab = list(dict.fromkeys(strings))
-        if not all(isinstance(value, str) for value in vocab):
-            raise ValueError(f"column {name!r} holds non-string objects")
-        code = {value: index for index, value in enumerate(vocab)}
-        array = np.fromiter(map(code.__getitem__, strings), _CODE, len(strings))
-        spec["vocab"] = vocab
+    if not isinstance(values, Categorical):
+        array = np.asarray(values)
+        if array.ndim != 1:
+            raise ValueError(f"column {name!r} is not 1-D: shape {array.shape}")
+        if array.dtype.kind in "OU":
+            values = Categorical.from_values(array)
+    if isinstance(values, Categorical):
+        values = values.canonical()
+        array = np.ascontiguousarray(values.codes, dtype=_CODE)
+        spec["vocab"] = list(values.vocab)
     elif array.dtype.kind in _NUMERIC_KINDS:
         array = np.ascontiguousarray(
             array, dtype=array.dtype.newbyteorder("<")
@@ -124,7 +130,7 @@ def _decode_column(
         raise ValueError(f"column {name!r}: bad string vocabulary")
     if rows and int(array.max()) >= len(vocab):
         raise ValueError(f"column {name!r}: string code out of range")
-    return np.array(vocab, dtype=object)[array], stop
+    return Categorical(array, vocab), stop
 
 
 def decode(data: bytes) -> dict[str, Any]:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,15 +40,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import PointResult
 
 __all__ = [
+    "Categorical",
     "ExpandedColumns",
     "ResultRows",
     "ResultTable",
     "expand_columns",
 ]
 
-#: String-valued ``PointResult`` columns (kept as numpy object arrays so
-#: fancy indexing and equality masks work; elements are plain ``str``).
+#: String-valued ``PointResult`` columns: a handful of distinct values
+#: each, so they travel as :class:`Categorical` codes from the expansion
+#: to the column file (whose layout is codes plus a vocabulary too).
 STRING_COLUMNS = ("architecture", "technology", "method", "reason")
+
+CODE_DTYPE = np.dtype(np.uint32)
 
 #: Always-present float columns (the Eq. 13 inputs plus the area proxy).
 FLOAT_COLUMNS = (
@@ -81,22 +86,120 @@ def _field_names() -> tuple[str, ...]:
     return _record_cls()._FIELD_NAMES
 
 
+class Categorical:
+    """A string column as ``uint32`` codes into a vocabulary.
+
+    Row ``i`` is ``vocab[codes[i]]``: an integer index gives that
+    ``str``, a slice, mask or index array a ``Categorical``.  The
+    vocabulary may hold unused or repeated strings (two derived
+    architectures can share a name).  Nothing writes into ``codes``.
+    """
+
+    __slots__ = ("codes", "vocab")
+
+    def __init__(self, codes: np.ndarray, vocab: Iterable[str]) -> None:
+        self.codes = codes
+        self.vocab = tuple(vocab)
+
+    @classmethod
+    def from_values(cls, values) -> "Categorical":
+        """Factorize strings, the vocabulary in first-appearance order
+        (a ``Categorical`` is returned as it is)."""
+        if isinstance(values, Categorical):
+            return values
+        strings = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        vocab = tuple(dict.fromkeys(strings))
+        if not all(isinstance(text, str) for text in vocab):
+            raise ValueError("a string column holds non-string values")
+        code = {text: index for index, text in enumerate(vocab)}
+        return cls(
+            np.fromiter(map(code.__getitem__, strings), CODE_DTYPE, len(strings)),
+            vocab,
+        )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        codes = self.codes[index]
+        if np.ndim(codes) == 0:
+            return self.vocab[codes]
+        return Categorical(codes, self.vocab)
+
+    def objects(self) -> np.ndarray:
+        """The column as an object array of ``str``."""
+        return np.array(self.vocab, dtype=object)[self.codes]
+
+    def tolist(self) -> list[str]:
+        return self.objects().tolist()
+
+    def copy(self) -> "Categorical":
+        return Categorical(self.codes.copy(), self.vocab)
+
+    def canonical(self) -> "Categorical":
+        """The form a column file stores: exactly :meth:`from_values` of
+        this column's strings, in O(rows) numpy work."""
+        n = len(self.codes)
+        first = np.full(len(self.vocab), n)
+        np.minimum.at(first, self.codes, np.arange(n))
+        used = np.argsort(first, kind="stable")[: np.count_nonzero(first < n)]
+        vocab = tuple(dict.fromkeys(self.vocab[i] for i in used.tolist()))
+        if vocab == self.vocab:
+            return self
+        code = {text: index for index, text in enumerate(vocab)}
+        remap = np.array([code.get(text, 0) for text in self.vocab], CODE_DTYPE)
+        return Categorical(remap[self.codes], vocab)
+
+
+class ColumnMap(Mapping):
+    """``ResultTable.columns``: field name → column array, dict-like.
+
+    ``stored``, the dict underneath, holds string columns as
+    :class:`Categorical`.  Reading one stores its object array of
+    ``str`` instead, so the array a caller holds is the table's truth
+    for the column, as a numeric column's is.  Writers read ``stored``.
+    """
+
+    __slots__ = ("stored",)
+
+    def __init__(self, stored: dict[str, Any]) -> None:
+        self.stored = stored
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        value = self.stored[name]
+        if isinstance(value, Categorical):
+            value = self.stored[name] = value.objects()
+        return value
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        self.stored[name] = value
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.stored
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.stored)
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+
 class ResultTable:
     """One evaluated sweep as structure-of-arrays, row-aligned.
 
     ``columns`` maps every ``PointResult`` field name to a numpy array
-    of equal length: object arrays of ``str`` for the string columns,
-    float64 for the numeric ones (NaN marking ``None`` in the optional
-    operating-point columns) and bool for ``feasible``.  The table is
-    the native output of the columnar engine and the native input of
-    the analysis helpers, the cache payload and the NDJSON stream;
-    :meth:`rows` provides the backward-compatible lazy list of
-    ``PointResult`` views.
+    of equal length: object arrays of ``str`` for the string columns
+    (codes until read, see :class:`ColumnMap`), float64 for the numeric
+    ones (NaN marking ``None`` in the optional operating-point columns)
+    and bool for ``feasible``.  The table is the native output of the
+    columnar engine and the native input of the analysis helpers, the
+    cache payload and the NDJSON stream; :meth:`rows` provides the
+    backward-compatible lazy list of ``PointResult`` views.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
+    def __init__(self, columns: Mapping[str, Any]) -> None:
         names = _field_names()
         missing = sorted(set(names) - set(columns))
         if missing:
@@ -104,7 +207,7 @@ class ResultTable:
         lengths = {name: len(columns[name]) for name in names}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"ragged result table columns: {lengths}")
-        self.columns = {name: columns[name] for name in names}
+        self.columns = ColumnMap({name: columns[name] for name in names})
 
     # -- basic container -----------------------------------------------------
     def __len__(self) -> int:
@@ -144,7 +247,7 @@ class ResultTable:
             index += n
         if not 0 <= index < n:
             raise IndexError(f"row {index} out of range for {n}-row table")
-        c = self.columns
+        c = self.columns.stored
 
         def optional(name: str) -> float | None:
             value = c[name][index]
@@ -177,7 +280,7 @@ class ResultTable:
         """A new table of the selected rows (fancy-indexing every column)."""
         indices = np.asarray(indices)
         return ResultTable(
-            {name: array[indices] for name, array in self.columns.items()}
+            {name: array[indices] for name, array in self.columns.stored.items()}
         )
 
     # -- analysis helpers ----------------------------------------------------
@@ -197,7 +300,7 @@ class ResultTable:
         """Every column as a plain python list, ``None`` replacing NaN."""
         out: dict[str, list] = {}
         for name in _field_names():
-            array = self.columns[name]
+            array = self.columns.stored[name]
             values = array.tolist()
             if name in OPTIONAL_FLOAT_COLUMNS:
                 for index in np.flatnonzero(np.isnan(array)).tolist():
@@ -253,8 +356,8 @@ class ResultTable:
         records = list(records)
         columns: dict[str, np.ndarray] = {}
         for name in STRING_COLUMNS:
-            columns[name] = np.array(
-                [getattr(r, name) for r in records], dtype=object
+            columns[name] = Categorical.from_values(
+                [getattr(r, name) for r in records]
             )
         for name in FLOAT_COLUMNS:
             columns[name] = np.array(
@@ -289,17 +392,15 @@ class ResultTable:
         n = columns.n
         values = np.full((len(OPTIONAL_FLOAT_COLUMNS), n), np.nan)
         feasible = np.zeros(n, dtype=bool)
-        reason = np.empty(n, dtype=object)
+        reasons = []
         for index, (result, text) in enumerate(solutions):
-            reason[index] = text
+            reasons.append(text)
             if result is not None:
                 point = result.point
                 values[:, index] = (
                     point.vdd, point.vth, point.pdyn, point.pstat, point.ptot
                 )
                 feasible[index] = True
-        method_column = np.empty(n, dtype=object)
-        method_column.fill(method)
         return cls(
             {
                 "architecture": columns.arch_name,
@@ -311,8 +412,8 @@ class ResultTable:
                 "capacitance": columns.capacitance,
                 "area": columns.area,
                 "feasible": feasible,
-                "method": method_column,
-                "reason": reason,
+                "method": Categorical(np.zeros(n, dtype=CODE_DTYPE), (method,)),
+                "reason": Categorical.from_values(reasons),
                 **dict(zip(OPTIONAL_FLOAT_COLUMNS, values)),
             }
         )
@@ -321,11 +422,12 @@ class ResultTable:
     def from_payload_columns(cls, payload: Mapping[str, Any]) -> "ResultTable":
         """Rebuild from a field-name → values mapping, validating shape.
 
-        The values may be arrays (a cache entry) or lists with ``None``
-        for missing operating-point values (:meth:`to_payload_columns`),
-        which numpy reads as NaN under ``dtype=float``.  The table gets
-        its own copy of every column: a memory-tier payload serves every
-        later hit, so writing into one table must not reach it.  Raises
+        The values may be arrays (a cache entry, string columns as
+        :class:`Categorical`) or lists with ``None`` for missing
+        operating-point values (:meth:`to_payload_columns`), which numpy
+        reads as NaN under ``dtype=float``.  The table gets its own copy
+        of every array: a memory-tier payload serves every later hit, so
+        writing into one table must not reach it.  Raises
         ``ValueError`` on a missing column or ragged lengths so a
         corrupt cache entry surfaces as one well-typed error the engine
         can quarantine on, rather than a KeyError / broadcast error from
@@ -344,7 +446,7 @@ class ResultTable:
                 f"cache payload columns are ragged: {lengths}"
             )
         columns = {
-            name: np.array(payload[name], dtype=object)
+            name: Categorical.from_values(payload[name]).copy()
             for name in STRING_COLUMNS
         }
         for name in FLOAT_COLUMNS + OPTIONAL_FLOAT_COLUMNS:
@@ -409,8 +511,8 @@ class ResultTable:
             ]
             if missing:
                 raise ValueError(f"{path}: missing columns {missing}")
-            columns: dict[str, np.ndarray] = {
-                name: np.array(data[name].tolist(), dtype=object)
+            columns: dict[str, Any] = {
+                name: Categorical.from_values(data[name])
                 for name in STRING_COLUMNS
             }
             for name in FLOAT_COLUMNS + OPTIONAL_FLOAT_COLUMNS:
@@ -481,7 +583,8 @@ class ExpandedColumns:
     """A scenario's candidate grid as column arrays, expansion-ordered.
 
     ``arch_index``/``tech_index`` point into the (small) derived
-    architecture and technology tuples; every per-point model input is
+    architecture and technology tuples, and are the codes of the
+    ``arch_name``/``tech_name`` columns; every per-point model input is
     pre-broadcast to one flat float array so the batch kernel and the
     fallback solver index straight into them.  Row ``i`` corresponds
     exactly to ``scenario.expand()[i]``.
@@ -491,8 +594,8 @@ class ExpandedColumns:
     technologies: tuple[Technology, ...]
     arch_index: np.ndarray
     tech_index: np.ndarray
-    arch_name: np.ndarray
-    tech_name: np.ndarray
+    arch_name: Categorical
+    tech_name: Categorical
     frequency: np.ndarray
     n_cells: np.ndarray
     activity: np.ndarray
@@ -540,22 +643,17 @@ def expand_columns(scenario: Scenario) -> ExpandedColumns:
         )
         return np.repeat(values, block)
 
+    arch_index = np.repeat(np.arange(n_arch, dtype=CODE_DTYPE), block)
+    tech_index = np.tile(
+        np.repeat(np.arange(n_tech, dtype=CODE_DTYPE), n_freq), n_arch
+    )
     return ExpandedColumns(
         architectures=architectures,
         technologies=technologies,
-        arch_index=np.repeat(np.arange(n_arch), block),
-        tech_index=np.tile(np.repeat(np.arange(n_tech), n_freq), n_arch),
-        arch_name=np.repeat(
-            np.array([arch.name for arch in architectures], dtype=object),
-            block,
-        ),
-        tech_name=np.tile(
-            np.repeat(
-                np.array([tech.name for tech in technologies], dtype=object),
-                n_freq,
-            ),
-            n_arch,
-        ),
+        arch_index=arch_index,
+        tech_index=tech_index,
+        arch_name=Categorical(arch_index, [arch.name for arch in architectures]),
+        tech_name=Categorical(tech_index, [tech.name for tech in technologies]),
         frequency=np.tile(frequencies, n_arch * n_tech),
         n_cells=per_architecture("n_cells"),
         activity=per_architecture("activity"),

@@ -43,7 +43,7 @@ from ..core.numerical import DEFAULT_VDD_SPAN
 from . import executor as executor_module
 from ..service.memcache import TieredCache, as_cache
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
-from .columnar import ExpandedColumns, ResultTable, expand_columns
+from .columnar import CODE_DTYPE, Categorical, ExpandedColumns, ResultTable, expand_columns
 from .scenario import Scenario
 from .vectorized import batch_arrays_for_columns, closed_form_batch
 
@@ -197,16 +197,16 @@ class EvaluationStats:
         elapsed_seconds: float,
         phases: Mapping[str, float] | None = None,
     ) -> "EvaluationStats":
-        """Tally a columnar sweep without materialising any rows."""
-        method = table.column("method")
+        """Tally a columnar sweep from its method codes, building no rows."""
+        method = Categorical.from_values(table.columns.stored["method"])
+        counts = np.bincount(method.codes, minlength=len(method.vocab))
+        vocab = np.array(method.vocab, dtype=object)
         return cls(
             n_candidates=len(table),
             n_feasible=table.n_feasible,
-            n_vectorized=int(np.count_nonzero(method == VECTORIZED_METHOD)),
+            n_vectorized=int(counts[vocab == VECTORIZED_METHOD].sum()),
             n_fallback=int(
-                np.count_nonzero(
-                    (method == FALLBACK_METHOD) | (method == "numerical")
-                )
+                counts[(vocab == FALLBACK_METHOD) | (vocab == "numerical")].sum()
             ),
             elapsed_seconds=elapsed_seconds,
             phases=dict(phases or {}),
@@ -366,7 +366,9 @@ def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
     One vectorized kernel call per technology group, one vectorized
     exact-numerical solve for the whole flagged set, results assembled
     by mask assignment into the table's column arrays — no per-point
-    Python objects anywhere on this path.  The ``kernel`` and
+    Python objects anywhere on this path: ``method`` is the ``flagged``
+    mask as codes, ``reason`` is ``""`` plus the rejection texts.  The
+    ``kernel`` and
     ``fallback`` phases go to the caller's open timer, if any
     (:func:`repro.obs.active_timer`).
     """
@@ -380,11 +382,13 @@ def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
     pstat = np.full(n, np.nan)
     ptot = np.full(n, np.nan)
     feasible = np.zeros(n, dtype=bool)
-    method_column = np.empty(n, dtype=object)
-    method_column.fill(VECTORIZED_METHOD)
-    reason = np.empty(n, dtype=object)
-    reason.fill("")
+    reason_codes = np.zeros(n, dtype=CODE_DTYPE)
+    reason_vocab = [""]
     flagged = np.zeros(n, dtype=bool)
+
+    def add_reasons(rows: np.ndarray, texts: Categorical) -> None:
+        reason_codes[rows] = texts.codes + len(reason_vocab)
+        reason_vocab.extend(texts.vocab)
 
     with timer.phase("kernel"):
         for tech_position, tech in enumerate(columns.technologies):
@@ -418,15 +422,19 @@ def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
                 ptot[kept] = batch.ptot[keep]
                 feasible[kept] = True
                 if method == "closed-form":
-                    for position, index in zip(
-                        np.flatnonzero(~batch.feasible).tolist(),
-                        part[~batch.feasible].tolist(),
-                    ):
-                        reason[index] = _closed_form_reason_values(
-                            columns.arch_name[index],
-                            float(batch.margin[position]),
-                            float(batch.log_argument[position]),
+                    rejected = ~batch.feasible
+                    rows = part[rejected]
+                    texts = [
+                        _closed_form_reason_values(
+                            columns.arch_name[index], margin, log_argument
                         )
+                        for index, margin, log_argument in zip(
+                            rows.tolist(),
+                            batch.margin[rejected].tolist(),
+                            batch.log_argument[rejected].tolist(),
+                        )
+                    ]
+                    add_reasons(rows, Categorical.from_values(texts))
                 else:
                     flagged[part[~trusted]] = True
                 _check_parity(
@@ -453,8 +461,7 @@ def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
         pstat[flagged_indices] = solution.pstat
         ptot[flagged_indices] = solution.ptot
         feasible[flagged_indices] = solution.feasible
-        method_column[flagged_indices] = FALLBACK_METHOD
-        reason[flagged_indices] = solution.reason
+        add_reasons(flagged_indices, solution.reason)
 
     return ResultTable(
         {
@@ -467,13 +474,15 @@ def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
             "capacitance": columns.capacitance,
             "area": columns.area,
             "feasible": feasible,
-            "method": method_column,
+            "method": Categorical(
+                flagged.astype(CODE_DTYPE), (VECTORIZED_METHOD, FALLBACK_METHOD)
+            ),
             "vdd": vdd,
             "vth": vth,
             "pdyn": pdyn,
             "pstat": pstat,
             "ptot": ptot,
-            "reason": reason,
+            "reason": Categorical(reason_codes, reason_vocab),
         }
     )
 
@@ -692,7 +701,7 @@ def run(
                         "scenario": scenario.to_dict(),
                         "stats": stats.to_dict(),
                         "parity_checked": parity_checked,
-                        "columns": table.columns,
+                        "columns": table.columns.stored,
                     },
                 )
         # The returned stats carry the complete phase map (including

@@ -687,7 +687,7 @@ class JobManager:
                     "scenario": scenario.to_dict(),
                     "stats": stats.to_dict(),
                     "parity_checked": parity,
-                    "columns": table.columns,
+                    "columns": table.columns.stored,
                 },
             )
         return ResultSet(

@@ -16,7 +16,8 @@ what makes jobs exactly-once per shard.
 
 :func:`merge_tables` is the reduce step: scatter the shard
 :class:`~repro.explore.columnar.ResultTable` columns back into parent
-row order.  The merged table is row-for-row identical to the unsharded
+row order, string columns as codes into the union of the shards'
+vocabularies.  The merged table is row-for-row identical to the unsharded
 run — same arithmetic on the same rows, only grouped differently — and
 :func:`merge_stats` aggregates the per-shard ``EvaluationStats``
 (counters summed, phase wall-times summed) to match.
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..explore.engine import EvaluationStats
-from ..explore.columnar import ResultTable
+from ..explore.columnar import STRING_COLUMNS, Categorical, ResultTable
 from ..explore.scenario import Scenario
 
 __all__ = ["Shard", "merge_stats", "merge_tables", "shard_scenario"]
@@ -181,13 +182,12 @@ def merge_tables(
     if not pairs:
         raise ValueError("merge_tables needs at least one shard table")
 
+    shard_tables = [table for _, table in pairs]
     if all(rows is None for rows, _ in pairs):
         return ResultTable(
             {
-                name: np.concatenate(
-                    [table.columns[name] for _, table in pairs]
-                )
-                for name in pairs[0][1].columns
+                name: _merge_column(shard_tables, name, np.concatenate)
+                for name in shard_tables[0].columns
             }
         )
     if any(rows is None for rows, _ in pairs):
@@ -211,13 +211,31 @@ def merge_tables(
     if not seen.all():
         raise ValueError("shard row indices do not cover the merged table")
 
-    merged: dict[str, np.ndarray] = {}
-    for name, first in pairs[0][1].columns.items():
-        out = np.empty(total, dtype=first.dtype)
-        for rows, table in pairs:
-            out[rows] = table.columns[name]
-        merged[name] = out
-    return ResultTable(merged)
+    def scatter(parts: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(total, dtype=parts[0].dtype)
+        for (rows, _), part in zip(pairs, parts):
+            out[rows] = part
+        return out
+
+    return ResultTable(
+        {
+            name: _merge_column(shard_tables, name, scatter)
+            for name in shard_tables[0].columns
+        }
+    )
+
+
+def _merge_column(tables: list[ResultTable], name: str, combine):
+    """``combine`` of the tables' ``name`` columns; string columns as
+    codes into the tables' vocabularies laid end to end."""
+    if name not in STRING_COLUMNS:
+        return combine([table.columns[name] for table in tables])
+    parts, vocab = [], ()
+    for table in tables:
+        part = Categorical.from_values(table.columns.stored[name])
+        parts.append(part.codes + len(vocab))
+        vocab += part.vocab
+    return Categorical(combine(parts), vocab)
 
 
 def merge_stats(

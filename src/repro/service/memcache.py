@@ -13,9 +13,11 @@ service.
 
 Payloads are stored by reference and must be treated as immutable by
 consumers.  :meth:`TieredCache.put` keeps its own copy of a payload's
-column arrays, and every :class:`~repro.explore.columnar.ResultTable`
-rebuilt from a hit copies them again, so writing into a returned table
-never changes what later hits serve.
+column arrays (string columns as ``Categorical`` codes, so no object
+array is copied), and every :class:`~repro.explore.columnar.ResultTable`
+rebuilt from a hit copies the numeric ones again and builds its own
+object array of a string column when one is read, so writing into a
+returned table never changes what later hits serve.
 """
 
 from __future__ import annotations

@@ -379,7 +379,9 @@ class ServiceState:
         options: dict[str, Any],
     ) -> tuple[ResultSet, bool]:
         """One bounded, coalesced, cached evaluation → (result, coalesced)."""
-        key = flight_key(scenario, solver, options)
+        # Keyed on the registry's name, as a job is: every spelling of a
+        # solver joins one flight.
+        key = flight_key(scenario, get_solver(solver).name, options)
 
         def produce() -> ResultSet:
             with self.admission.admit(cost=scenario.size):

@@ -48,6 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.constants import EULER
+from ..explore.columnar import Categorical
 
 __all__ = [
     "BOUNDARY_MARGIN",
@@ -90,14 +91,16 @@ METHOD = "numerical-1d"
 class BatchNumericalTask:
     """The flagged set as column arrays (one entry per point, aligned).
 
-    ``chi`` is the Eq. 6 constraint coefficient (the architecture's
+    ``name`` is a string array or a
+    :class:`~repro.explore.columnar.Categorical`; ``chi`` is the Eq. 6
+    constraint coefficient (the architecture's
     ``zeta_factor`` already applied), ``io_power`` the per-cell leakage
     current of Eq. 1 (``tech.io · io_factor``), ``n_ut`` the
     sub-threshold slope voltage and ``inv_alpha`` is ``1/α`` — the only
     form the exact constraint needs.
     """
 
-    name: np.ndarray
+    name: "np.ndarray | Categorical"
     n_cells: np.ndarray
     activity: np.ndarray
     capacitance: np.ndarray
@@ -119,7 +122,8 @@ class BatchNumericalSolution:
     """Per-point outcome arrays, aligned with the task.
 
     ``feasible`` rows carry the exact operating point (NaN elsewhere);
-    infeasible rows carry the scalar solver's verbatim ``reason``.
+    infeasible rows carry the scalar solver's verbatim ``reason``, as
+    codes into the distinct texts (``""`` on feasible rows).
     """
 
     vdd: np.ndarray
@@ -128,7 +132,7 @@ class BatchNumericalSolution:
     pstat: np.ndarray
     ptot: np.ndarray
     feasible: np.ndarray
-    reason: np.ndarray
+    reason: Categorical
 
     @property
     def size(self) -> int:
@@ -422,7 +426,7 @@ def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
             pstat=empty.copy(),
             ptot=empty.copy(),
             feasible=np.array([], dtype=bool),
-            reason=np.array([], dtype=object),
+            reason=Categorical.from_values([]),
         )
 
     lo, hi = task.vdd_lo, task.vdd_hi
@@ -443,23 +447,27 @@ def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
             | (hi - vdd < BOUNDARY_MARGIN * interval)
         )
 
-    reason = np.empty(n, dtype=object)
-    reason.fill("")
     pinned = np.flatnonzero(~feasible)
     # A value within ``width`` of an end that prints alike prints as that
     # end.  Rows come architecture by architecture, so equal texts come
     # in runs; each run's text is looked up once.
     shown = np.where(lo_alike & (vdd - lo <= width), lo, vdd)
     shown = np.where(hi_alike & (hi - vdd <= width), hi, shown)[pinned]
-    names = task.name[pinned]
+    name = Categorical.from_values(task.name)
+    names = name.codes[pinned]
     starts = np.ones(pinned.size, dtype=bool)
     starts[1:] = (names[1:] != names[:-1]) | (shown[1:] != shown[:-1])
-    texts: dict[tuple[str, float], str] = {}
-    run_texts = [
-        texts.get(key) or texts.setdefault(key, _pinned_reason(*key))
-        for key in zip(names[starts].tolist(), shown[starts].tolist())
-    ]
-    reason[pinned] = np.array(run_texts, dtype=object)[np.cumsum(starts) - 1]
+    texts: dict[tuple[int, float], str] = {}
+    run_texts = Categorical.from_values(
+        [""]
+        + [
+            texts.get(key)
+            or texts.setdefault(key, _pinned_reason(name.vocab[key[0]], key[1]))
+            for key in zip(names[starts].tolist(), shown[starts].tolist())
+        ]
+    )
+    codes = np.zeros(n, dtype=run_texts.codes.dtype)
+    codes[pinned] = run_texts.codes[1:][np.cumsum(starts) - 1]
 
     vth, pdyn, pstat, ptot = _power_split(task, vdd)
     nan = np.nan
@@ -470,6 +478,6 @@ def solve_batch(task: BatchNumericalTask) -> BatchNumericalSolution:
         pstat=np.where(feasible, pstat, nan),
         ptot=np.where(feasible, ptot, nan),
         feasible=feasible,
-        reason=reason,
+        reason=Categorical(codes, run_texts.vocab),
     )
 

@@ -193,7 +193,7 @@ class ResultSet:
             payload["scenario"] = self.scenario.to_dict()
         if self.stats is not None:
             payload["stats"] = self.stats.to_dict()
-        payload["columns"] = table.columns
+        payload["columns"] = table.columns.stored
         return payload
 
     @classmethod

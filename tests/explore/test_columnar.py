@@ -2,16 +2,24 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.explore import colfile
 from repro.explore.cache import CACHE_SCHEMA_VERSION, ResultCache
-from repro.explore.columnar import ResultTable, expand_columns
+from repro.explore.columnar import (
+    STRING_COLUMNS,
+    Categorical,
+    ResultTable,
+    expand_columns,
+)
 from repro.explore.engine import (
     EvaluationStats,
     evaluate_table,
     explore,
 )
 from repro.explore.scenario import FrequencyGrid, Scenario, demo_scenario
+from repro.study import ResultSet
 
 
 @pytest.fixture
@@ -181,6 +189,45 @@ class TestResultRows:
         with pytest.raises(IndexError):
             mixed_table.row(-len(rows) - 1)
         assert rows[-len(rows)] == rows[0]
+
+
+class TestStringColumns:
+    """String columns stay codes until a caller reads one."""
+
+    @staticmethod
+    def all_codes(table):
+        return all(
+            isinstance(table.columns.stored[name], Categorical)
+            for name in STRING_COLUMNS
+        )
+
+    def test_row_best_and_take_build_no_object_column(self, mixed_table):
+        reference = ResultTable.from_records(list(mixed_table.rows()))
+        assert self.all_codes(mixed_table)
+        best = ResultSet(records=mixed_table.rows(), solver="auto").best()
+        taken = mixed_table.take([0, len(mixed_table) - 1])
+        assert self.all_codes(mixed_table) and self.all_codes(taken)
+        assert best == reference.row(reference.best_index())
+        assert list(taken.rows()) == [reference.row(0), reference.row(-1)]
+        assert self.all_codes(taken)
+
+    def test_a_read_column_is_the_tables_truth(self, mixed_table):
+        reason = mixed_table.columns["reason"]
+        assert reason.dtype == object
+        assert mixed_table.columns["reason"] is reason
+        assert mixed_table.columns.stored["reason"] is reason
+        reason[0] = "edited"
+        assert mixed_table.row(0).reason == "edited"
+        assert mixed_table.take([0]).row(0).reason == "edited"
+        payload = {"columns": mixed_table.columns.stored}
+        decoded = colfile.decode(colfile.encode(payload))["columns"]["reason"]
+        assert decoded[0] == "edited"
+        methods = mixed_table.columns["method"]
+        stats = EvaluationStats.from_table(mixed_table, 0.0)
+        assert stats.n_fallback == np.count_nonzero(methods == "numerical-fallback")
+        assert 0 < stats.n_vectorized == np.count_nonzero(
+            methods == "vectorized-closed-form"
+        )
 
 
 class TestColumnarEdgeCases:

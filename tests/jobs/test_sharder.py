@@ -1,11 +1,17 @@
 """Sharding + merge must be invisible: bit-identical to unsharded runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import Study
+from repro.explore import colfile
 from repro.explore.engine import EvaluationStats, explore
-from repro.explore.scenario import demo_scenario
+from repro.explore.scenario import FrequencyGrid, demo_scenario
 from repro.jobs import merge_stats, merge_tables, shard_scenario
+from repro.jobs.manager import JobManager
+from repro.jobs.store import JobStore
 
 
 def assert_tables_identical(got, expected):
@@ -96,6 +102,28 @@ class TestMergeTables:
         )
         reference = explore(scenario, use_cache=False)
         assert_tables_identical(merged, reference.table)
+
+    def test_four_shard_job_writes_the_unsharded_column_bytes(self, tmp_path):
+        """Shards carry different reason vocabularies; the merged job
+        result holds exactly the unsharded run's column bytes."""
+        scenario = dataclasses.replace(
+            demo_scenario(), frequencies=FrequencyGrid.logspace(2e6, 1.5e9, 40)
+        )
+        reasons = [
+            frozenset(explore(shard.scenario, use_cache=False).table.columns["reason"])
+            for shard in shard_scenario(scenario, 4)
+        ]
+        assert len(set(reasons)) == 4 and all(len(r) > 2 for r in reasons)
+        manager = JobManager(store=JobStore(tmp_path), use_cache=False)
+        try:
+            handle = Study.from_scenario(scenario).submit(shards=4, manager=manager)
+            assert handle.wait(timeout=120)["state"] == "done"
+            data = manager.store.result_path_for(handle.id).read_bytes()
+        finally:
+            manager.close()
+        unsharded = explore(scenario, use_cache=False).table
+        fields = colfile.decode(data)
+        assert data == colfile.encode({**fields, "columns": dict(unsharded.columns)})
 
     def test_rejects_empty_and_partial_coverage(self):
         scenario = demo_scenario(frequency_points=3)

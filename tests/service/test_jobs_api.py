@@ -56,6 +56,33 @@ def gated_service(tmp_path):
         server.server_close()
 
 
+@pytest.fixture
+def gated_registry_service(tmp_path):
+    """A live server whose registry-solver jobs block until released."""
+    release = threading.Event()
+    started = threading.Event()
+
+    server = ExplorationServer(
+        ServiceConfig(port=0, workers=4, cache_dir=str(tmp_path / "cache"))
+    )
+    produce = server.state.jobs._produce_registry
+
+    def gated(record, scenario):
+        started.set()
+        if not release.wait(timeout=WAIT):  # pragma: no cover — test hang
+            raise TimeoutError("gate never released")
+        return produce(record, scenario)
+
+    server.state.jobs._produce_registry = gated
+    server.start_background()
+    try:
+        yield server, ServiceClient(server.url, timeout=60.0), started, release
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()
+
+
 class TestJobLifecycle:
     def test_submit_poll_result_round_trip(self, service):
         server, client = service
@@ -195,11 +222,12 @@ class TestCancelOverHTTP:
 
 
 class TestSingleFlight:
-    def test_job_and_inline_explore_share_one_engine_run(self, gated_service):
-        """The coalescer regression: one sweep, two entry points, one run."""
-        server, client, started, release = gated_service
+    @staticmethod
+    def assert_one_flight(service, job_solver, inline_solver):
+        """A gated job and an inline request of one sweep: one run."""
+        server, client, started, release = service
         scenario = demo_scenario(frequency_points=2)
-        handle = client.submit(scenario, solver="auto")
+        handle = client.submit(scenario, solver=job_solver)
         assert started.wait(timeout=WAIT)
 
         inline: dict = {}
@@ -207,7 +235,7 @@ class TestSingleFlight:
         def explore_inline():
             inline["header"] = client._post(
                 "/v1/explore",
-                {"scenario": scenario.to_dict(), "solver": "auto"},
+                {"scenario": scenario.to_dict(), "solver": inline_solver},
             )
 
         thread = threading.Thread(target=explore_inline)
@@ -225,11 +253,22 @@ class TestSingleFlight:
         thread.join(timeout=WAIT)
         assert not thread.is_alive()
         assert inline["header"]["coalesced"] is True
+        assert inline["header"]["solver"] == job_solver
         assert inline["header"]["n_records"] == scenario.size
         # The inline path never entered its own evaluate.
         assert server.state.engine_runs == 0
         client.wait(handle.id, timeout=WAIT, poll=0.05)
         assert len(client.job_result(handle.id)) == scenario.size
+
+    def test_job_and_inline_explore_share_one_engine_run(self, gated_service):
+        """The coalescer regression: one sweep, two entry points, one run."""
+        self.assert_one_flight(gated_service, "auto", "auto")
+
+    def test_spellings_of_one_solver_share_one_flight(
+        self, gated_registry_service
+    ):
+        """A ``closed-form`` request joins a ``closed_form`` job's flight."""
+        self.assert_one_flight(gated_registry_service, "closed_form", "closed-form")
 
 
 class TestClientRetry:

@@ -14,6 +14,7 @@ and the sampled curves needed to regenerate Figure 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,13 @@ def fit_vdd_root(
     )
 
 
+@functools.lru_cache(maxsize=256)
 def paper_fit(alpha: float) -> LinearFit:
-    """Eq. 7 fit over the paper's published 0.3–1.0 V range."""
+    """Eq. 7 fit over the paper's published 0.3–1.0 V range.
+
+    A pure function of ``alpha`` returning a frozen fit, so it is
+    memoised: every closed-form solve of a technology re-reads one fit.
+    """
     return fit_vdd_root(alpha, PAPER_FIT_RANGE)
 
 

@@ -3,11 +3,13 @@
 :class:`JobManager` is the execution half of the job subsystem.  One
 dispatcher thread drains the submit queue job by job; each job's
 scenario is split by :func:`~.sharder.shard_scenario` and its shards
-evaluated concurrently on a :class:`WorkerPool` through the columnar
-engine (numpy releases the GIL, so threads scale the kernel across
-cores), then scatter-merged back into one
+evaluated concurrently on a :class:`WorkerPool` of threads through the
+columnar engine, then scatter-merged back into one
 :class:`~repro.explore.columnar.ResultTable` that is bit-identical to
-the unsharded run.
+the unsharded run (a one-shard job takes its shard's table as is).
+Threads do not scale a job across cores: the exact fallback search is
+a Python loop that holds the GIL, and on a 2-vCPU VM ``bench_jobs``
+measures 4 shards at 0.4–0.6× the speed of one.
 
 Jobs share the service's single-flight :class:`~repro.service.coalesce.
 Coalescer` under the same :func:`flight_key` the inline ``/v1/explore``
@@ -88,8 +90,8 @@ class JobTimeout(JobError):
 
 def _default_pool_size() -> int:
     # Enough threads to cover the default shard fan-out even on small
-    # machines (the kernel releases the GIL, so oversubscription on one
-    # core costs little and tests still exercise real concurrency).
+    # machines, so tests exercise real concurrency.  They buy no speed
+    # past the cores, and little below: the fallback search holds the GIL.
     return max(2, min(8, os.cpu_count() or 1))
 
 
@@ -599,14 +601,13 @@ class JobManager:
                     points_done += shard.n
                     last_progress = time.monotonic()
                     obs.observe("jobs.shard_seconds", seconds)
-                    self.store.update_progress(
-                        record.id,
-                        shards_done=len(done),
-                        points_done=points_done,
-                    )
                     self.store.add_event(
                         record.id,
                         "shard",
+                        progress={
+                            "shards_done": len(done),
+                            "points_done": points_done,
+                        },
                         shard=shard.index + 1,
                         of=shard.count,
                         rows=shard.n,
@@ -639,8 +640,14 @@ class JobManager:
             )
 
         pairs = [done[index] for index in sorted(done)]
+        # A one-shard job's shard is the scenario itself: its table and
+        # key are the job's, and its explore() already stored (or hit)
+        # the entry under that key.
+        one_shard = len(shards) == 1
         with obs.span("jobs.merge", job=record.id, shards=len(pairs)):
-            if partial:
+            if one_shard:
+                table = pairs[0][1].table
+            elif partial:
                 # Surviving shards only: plain concatenation in shard
                 # order (the scatter path requires full row coverage).
                 table = merge_tables(
@@ -657,7 +664,9 @@ class JobManager:
                 [exploration.stats for _, exploration in pairs],
                 elapsed_seconds=time.perf_counter() - started,
             )
-        engine_key = _cache_key(scenario, method)
+        engine_key = (
+            pairs[0][1].cache_key if one_shard else _cache_key(scenario, method)
+        )
         parity = all(exploration.parity_checked for _, exploration in pairs)
         if partial:
             obs.inc("jobs.partial_results")
@@ -669,12 +678,7 @@ class JobManager:
                 ),
                 shards_merged=len(pairs),
             )
-        # A one-shard job's shard is the scenario itself: its explore()
-        # already stored (or hit) the entry under the inline key.
-        already_cached = [exploration.cache_key for _, exploration in pairs] == [
-            engine_key
-        ]
-        if self.use_cache and not partial and not already_cached:
+        if self.use_cache and not partial and not one_shard:
             # Under the inline explore() key, so a later inline request
             # for the full scenario is a cache hit, not a re-run.  A
             # partial table must never be cached under the full key.

@@ -80,10 +80,15 @@ def _new_job_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def _record_bytes(record: "JobRecord") -> bytes:
-    # json.dump streams through the pure-Python encoder; json.dumps
-    # runs the C one and gives the same bytes.
-    return json.dumps(record.to_dict()).encode("utf-8")
+def _record_bytes(record: "JobRecord", scenario: str | None = None) -> bytes:
+    """Exactly ``json.dumps(record.to_dict()).encode("utf-8")``, reusing
+    ``scenario`` (the scenario's own ``json.dumps``) when given.  json.dumps
+    runs the C encoder; json.dump, the pure-Python one, for the same bytes."""
+    scenario = scenario or json.dumps(record.scenario)
+    rest = record.to_dict()
+    del rest["id"], rest["scenario"]
+    head = f'{{"id": {json.dumps(record.id)}, "scenario": {scenario}, '
+    return (head + json.dumps(rest)[1:]).encode("utf-8")
 
 
 @dataclass
@@ -195,6 +200,9 @@ class JobStore:
         self._cond = threading.Condition(self._lock)
         self._version = 0
         self._records: dict[str, JobRecord] = {}
+        #: Each live job's encoded scenario, the bulk of its record and
+        #: never changed after create; dropped at the terminal save.
+        self._scenarios: dict[str, str] = {}
         self._load()
 
     # -- persistence ---------------------------------------------------------
@@ -303,9 +311,15 @@ class JobStore:
         must reach disk or raise.
         """
         record.updated_at = time.time()
+        scenario = self._scenarios.pop(record.id, None)
+        scenario = scenario or json.dumps(record.scenario)
+        if not record.terminal:
+            self._scenarios[record.id] = scenario
         try:
             self._write(
-                self.path_for(record.id), _record_bytes(record), backup=True
+                self.path_for(record.id),
+                _record_bytes(record, scenario),
+                backup=True,
             )
         except (OSError, faults.FaultError):
             if not advisory:
@@ -419,10 +433,18 @@ class JobStore:
             self._save_locked(record)
             return record
 
-    def add_event(self, job_id: str, event: str, **fields: Any) -> JobRecord:
-        """Append a progress event (shard completions etc.) and persist."""
+    def add_event(
+        self,
+        job_id: str,
+        event: str,
+        progress: Mapping[str, int] | None = None,
+        **fields: Any,
+    ) -> JobRecord:
+        """Append a progress event (shard completions etc.) and persist,
+        merging ``progress`` counters in the same save."""
         with self._lock:
             record = self.get(job_id)
+            record.progress.update(progress or {})
             self._append_event_locked(record, {"event": event, **fields})
             self._save_locked(record, advisory=True)
             return record
@@ -438,12 +460,14 @@ class JobStore:
             del record.events[: len(record.events) - MAX_EVENTS]
 
     def update_progress(self, job_id: str, **counters: int) -> JobRecord:
-        """Merge progress counters (``shards_done``, ``points_done``, …)."""
+        """Merge progress counters (``shards_done``, ``points_done``, …);
+        counters that already hold these values write nothing."""
+        counters = {name: int(value) for name, value in counters.items()}
         with self._lock:
             record = self.get(job_id)
-            record.progress.update(
-                {name: int(value) for name, value in counters.items()}
-            )
+            if counters.items() <= record.progress.items():
+                return record
+            record.progress.update(counters)
             self._save_locked(record, advisory=True)
             return record
 

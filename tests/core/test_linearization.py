@@ -28,6 +28,21 @@ class TestPaperConstants:
         assert (fit.vdd_min, fit.vdd_max) == PAPER_FIT_RANGE
 
 
+class TestPaperFitMemo:
+    def test_one_fit_per_alpha_equal_to_a_fresh_one(self):
+        """The memo hands back one frozen fit per alpha, field for field
+        the fit :func:`fit_vdd_root` computes afresh, and stays bounded."""
+        for alpha in (1.0, 1.3, PAPER_ALPHA_LL, 2.0):
+            assert paper_fit(alpha) is paper_fit(alpha)
+            assert paper_fit(alpha) == fit_vdd_root(alpha, PAPER_FIT_RANGE)
+        assert paper_fit.cache_info().maxsize is not None
+
+    def test_bad_alpha_is_raised_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                paper_fit(0.0)
+
+
 class TestFitQuality:
     def test_fit_error_small_inside_range(self):
         fit = fit_vdd_root(1.86)

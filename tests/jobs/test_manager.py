@@ -19,6 +19,7 @@ from repro.solvers import SolverError
 from repro.study import Study
 
 from .test_sharder import assert_tables_identical
+from .test_store import count_record_writes
 
 WAIT = 30.0
 
@@ -136,6 +137,57 @@ class TestSubmitAndResult:
         finally:
             release.set()
             manager.close()
+
+
+class TestOneShardJob:
+    def test_takes_its_shards_table_and_key_without_a_merge(
+        self, manager, monkeypatch
+    ):
+        def no_merge(*args, **kwargs):
+            raise AssertionError("a one-shard job must not merge")
+
+        monkeypatch.setattr("repro.jobs.manager.merge_tables", no_merge)
+        scenario = demo_scenario(frequency_points=3)
+        record = manager.submit(scenario, shards=1)
+        assert manager.wait(record.id, timeout=WAIT)["state"] == "done"
+
+        reference = explore(scenario, use_cache=False)
+        assert manager.job(record.id)["cache_key"] == reference.cache_key
+        assert len(manager.cache.entries()) == 1
+        got = manager.job_result(record.id)._table.columns
+        for name, column in reference.table.columns.items():
+            if column.dtype == object:
+                assert got[name].tolist() == column.tolist(), name
+            else:
+                assert got[name].dtype == column.dtype, name
+                assert got[name].tobytes() == column.tobytes(), name
+
+
+class TestRecordWrites:
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_a_job_saves_its_record_once_per_shard_plus_three(
+        self, manager, monkeypatch, shards
+    ):
+        """create, running, one save per finished shard, done."""
+        writes = count_record_writes(monkeypatch)
+        scenario = demo_scenario(frequency_points=2)
+        record = manager.submit(scenario, shards=shards)
+        assert manager.wait(record.id, timeout=WAIT)["state"] == "done"
+        manager.store.get(record.id)  # the lock: the done save has landed
+        assert writes.count(f"{record.id}.json") == shards + 3
+
+        reloaded = JobStore(manager.store.directory).get(record.id)
+        assert reloaded.state == "done"
+        assert reloaded.progress == {
+            "shards_total": shards,
+            "shards_done": shards,
+            "points_total": scenario.size,
+            "points_done": scenario.size,
+        }
+        shard_events = [e for e in reloaded.events if e["event"] == "shard"]
+        assert sorted(e["shard"] for e in shard_events) == list(
+            range(1, shards + 1)
+        )
 
 
 class TestCancel:

@@ -1,13 +1,22 @@
 """JobStore: atomic persistence, sticky terminal states, change signal."""
 
 import json
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explore.scenario import demo_scenario
 from repro.jobs import JobNotFound, JobStore
-from repro.jobs.store import MAX_EVENTS, STATES, TERMINAL_STATES
+from repro.jobs.store import (
+    MAX_EVENTS,
+    STATES,
+    TERMINAL_STATES,
+    JobRecord,
+    _record_bytes,
+)
 
 
 @pytest.fixture()
@@ -18,6 +27,75 @@ def store(tmp_path):
 def make_job(store, **kwargs):
     scenario = demo_scenario(frequency_points=2).to_dict()
     return store.create(scenario, **kwargs)
+
+
+def record_json(record):
+    """A record file as one ``json.dumps`` of the whole record writes it:
+    the oracle for ``_record_bytes``, which encodes the scenario apart."""
+    return json.dumps(record.to_dict()).encode("utf-8")
+
+
+def count_record_writes(monkeypatch):
+    """The file name of every ``<id>.json`` write through ``JobStore._write``."""
+    names = []
+    write = JobStore._write
+
+    def spy(self, path, data, backup=False):
+        if path.suffix == ".json":
+            names.append(path.name)
+        return write(self, path, data, backup=backup)
+
+    monkeypatch.setattr(JobStore, "_write", spy)
+    return names
+
+
+#: Text that JSON must escape: quotes, backslashes, NUL and other control
+#: characters, and non-ASCII, mixed with plain letters.
+TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "é", "€", "😀", "a", " "]),
+    max_size=8,
+) | st.text(max_size=8)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def records(draw):
+    """Live and terminal records, their event windows trimmed or not."""
+    trimmed = draw(st.integers(0, 2 * MAX_EVENTS))
+    events = [
+        {"ts": draw(st.floats(0, 2e9)), "seq": trimmed + index, "event": draw(TEXT),
+         **draw(st.dictionaries(TEXT, JSON_VALUES, max_size=2))}
+        for index in range(1, draw(st.integers(0, 5)) + 1)
+    ]
+    return JobRecord(
+        id=draw(TEXT),
+        scenario=draw(
+            st.just(demo_scenario(frequency_points=3).to_dict())
+            | st.dictionaries(TEXT, JSON_VALUES, max_size=4)
+        ),
+        solver=draw(TEXT),
+        options=draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3)),
+        shards=draw(st.none() | st.integers(1, 64)),
+        state=draw(st.sampled_from(STATES)),
+        created_at=draw(st.floats(0, 2e9)),
+        updated_at=draw(st.floats(0, 2e9)),
+        progress=draw(st.dictionaries(TEXT, st.integers(0, 10**6), max_size=4)),
+        events=events,
+        error=draw(TEXT),
+        cache_key=draw(TEXT),
+        stats=draw(st.none() | st.dictionaries(TEXT, JSON_VALUES, max_size=3)),
+        event_seq=trimmed + len(events),
+        trace=draw(st.none() | st.dictionaries(TEXT, TEXT, max_size=2)),
+        idempotency_key=draw(TEXT),
+        deadline_ms=draw(st.none() | st.integers(1, 10**7)),
+        partial=draw(st.booleans()),
+    )
 
 
 class TestLifecycle:
@@ -103,6 +181,84 @@ class TestEvents:
             "shards_done": 2,
             "points_done": 100,
         }
+
+
+class TestRecordBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(records())
+    def test_record_bytes_are_one_dumps_of_the_record(self, record):
+        expected = record_json(record)
+        assert _record_bytes(record) == expected
+        assert _record_bytes(record, json.dumps(record.scenario)) == expected
+        assert list(json.loads(expected))[:2] == ["id", "scenario"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scenario=st.dictionaries(TEXT, JSON_VALUES, max_size=4),
+        options=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
+        trace=st.none() | st.dictionaries(TEXT, TEXT, min_size=1, max_size=2),
+        key=TEXT,
+        note=TEXT,
+        shards=st.integers(0, 3),
+        final=st.sampled_from(TERMINAL_STATES),
+    )
+    def test_every_save_writes_one_dumps_of_the_record(
+        self, scenario, options, trace, key, note, shards, final
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            store = JobStore(directory)
+            record = store.create(
+                scenario, options=options, trace=trace, idempotency_key=key
+            )
+            path = store.path_for(record.id)
+            assert path.read_bytes() == record_json(record)
+            assert record.id in store._scenarios
+            store.transition(record.id, "running")
+            for shard in range(shards):
+                store.add_event(
+                    record.id, "shard", progress={"shards_done": shard + 1},
+                    note=note,
+                )
+                assert path.read_bytes() == record_json(record)
+            store.transition(record.id, final, error=note)
+            assert path.read_bytes() == record_json(record)
+            # The terminal save drops the encoded scenario, and a later
+            # save of the finished job does not bring it back.
+            assert record.id not in store._scenarios
+            store.add_event(record.id, "late", note=note)
+            assert path.read_bytes() == record_json(record)
+            assert store._scenarios == {}
+
+    def test_a_trimmed_event_window_saves_exactly(self, store):
+        record = make_job(store)
+        for i in range(MAX_EVENTS + 3):
+            store.add_event(record.id, "tick", i=i)
+        assert record.events[0]["seq"] == 5
+        assert store.path_for(record.id).read_bytes() == record_json(record)
+
+
+class TestRecordWrites:
+    def test_unchanged_progress_writes_nothing(self, store, monkeypatch):
+        record = make_job(store, progress={"shards_done": 0, "points_done": 0})
+        writes = count_record_writes(monkeypatch)
+        version = store.version
+        store.update_progress(record.id, shards_done=0, points_done=0)
+        store.update_progress(record.id, points_done=0)
+        assert writes == []
+        assert store.version == version
+        store.update_progress(record.id, shards_done=0, points_done=5)
+        assert writes == [f"{record.id}.json"]
+        assert store.version == version + 1
+
+    def test_an_event_carries_its_progress_in_one_save(self, store, monkeypatch):
+        record = make_job(store, progress={"shards_total": 2, "shards_done": 0})
+        writes = count_record_writes(monkeypatch)
+        store.add_event(record.id, "shard", progress={"shards_done": 1}, shard=1)
+        assert writes == [f"{record.id}.json"]
+        on_disk = json.loads(store.path_for(record.id).read_text())
+        assert on_disk["progress"] == {"shards_total": 2, "shards_done": 1}
+        assert on_disk["events"][-1]["event"] == "shard"
+        assert "progress" not in on_disk["events"][-1]
 
 
 class TestPersistence:
